@@ -10,6 +10,7 @@ from .equilibrium import (
     Strategy,
     benchmarks,
     best_response,
+    enumerate_chains,
     enumerate_equilibria,
     interim_belief,
     least_selective,

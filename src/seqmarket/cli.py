@@ -23,10 +23,11 @@ from .equilibrium import (
     MarketSpec,
     Strategy,
     benchmarks,
+    enumerate_chains,
     enumerate_equilibria,
     select_equilibrium,
 )
-from .errors import MarketModelError, SchemaError, ValidationError
+from .errors import MarketModelError, NoEquilibriumFound, SchemaError, ValidationError
 from .experiment import LocalSpreadParams, OddsRatio, build_experiment
 from .scenarios import demo_market, revealing_market, tight_market
 from .statics import spread_surplus_delta, surplus_vs_n, sweep_binary
@@ -542,11 +543,12 @@ def _repro_table2(out: Path) -> list[Path]:
 
 
 def _repro_section8(out: Path) -> list[Path]:
+    specs = [tight_market(n) for n in range(1, 51)]
     rows = []
-    for n in range(1, 51):
-        spec = tight_market(n)
-        chain = enumerate_equilibria(spec)
-        assert len(chain) == 1, f"expected a unique equilibrium at n={n}"
+    for spec, chain in zip(specs, enumerate_chains(specs)):
+        n = spec.n
+        if len(chain) != 1:
+            raise NoEquilibriumFound(f"expected a unique equilibrium at n={n}, found {len(chain)}")
         eq = chain[0]
         p_trade_h = 1.0 - eq.r_H**n
         p_trade_l = 1.0 - eq.r_L**n
@@ -596,9 +598,8 @@ def _repro_section8(out: Path) -> list[Path]:
 
 def _repro_modified_example(out: Path) -> list[Path]:
     rows = []
-    for n in range(1, 51):
-        spec = revealing_market(n)
-        chain = enumerate_equilibria(spec)
+    chains = enumerate_chains([revealing_market(n) for n in range(1, 51)])
+    for n, chain in enumerate(chains, 1):
         closed_form = 0.4 * (1.0 - 0.25**n)
         rows.append([n, chain[0].surplus, chain[-1].surplus, closed_form])
     path = out / "modified_example.csv"

@@ -12,7 +12,7 @@ full chain, sorted most selective first.
 
 from __future__ import annotations
 
-import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,12 +118,31 @@ def _check_length(spec: MarketSpec, strategy: Strategy) -> None:
         )
 
 
-def geometric_sum(r, n: int):
-    """``sum_{k=0}^{n-1} r**k`` for scalars or arrays, stable near ``r == 1``."""
+def _power(x, n):
+    """``x ** n`` for an int ``n`` or an integer array broadcast against ``x``.
+
+    numpy evaluates ``x ** 2`` with a Python-int exponent as ``x * x``, which
+    can differ in the last bit from the general power routine that an array
+    of exponents goes through; entries with ``n == 2`` keep the square so
+    batched and one-market results agree.
+    """
+    if isinstance(n, int) or not np.any(n == 2):
+        return x**n
+    return np.where(n == 2, x * x, x**n)
+
+
+def geometric_sum(r, n):
+    """``sum_{k=0}^{n-1} r**k`` for scalars or arrays, stable near ``r == 1``.
+
+    ``n`` is an int or an integer array broadcast against ``r``.
+    """
     r_arr = np.asarray(r, dtype=float)
-    near_one = np.abs(1.0 - r_arr) < 1e-10
+    gap = 1.0 - r_arr
+    near_one = np.abs(gap) < 1e-10
+    if r_arr.ndim and not near_one.any():
+        return (1.0 - _power(r_arr, n)) / gap
     safe = np.where(near_one, 0.5, r_arr)
-    closed = (1.0 - safe**n) / (1.0 - safe)
+    closed = (1.0 - _power(safe, n)) / (1.0 - safe)
     taylor = n * (1.0 - (n - 1) * (1.0 - r_arr) / 2.0)
     out = np.where(near_one, taylor, closed)
     return float(out) if np.isscalar(r) or out.ndim == 0 else out
@@ -159,9 +178,13 @@ def total_surplus(spec: MarketSpec, strategy: Strategy) -> float:
 
 
 def surplus_from_rejections(spec: MarketSpec, r_L, r_H):
-    return (1.0 - spec.c) * spec.rho * (1.0 - np.asarray(r_H) ** spec.n) - spec.c * (
-        1.0 - spec.rho
-    ) * (1.0 - np.asarray(r_L) ** spec.n)
+    return _surplus(spec.rho, spec.c, spec.n, r_L, r_H)
+
+
+def _surplus(rho: float, c: float, n, r_L, r_H):
+    return (1.0 - c) * rho * (1.0 - _power(np.asarray(r_H), n)) - c * (1.0 - rho) * (
+        1.0 - _power(np.asarray(r_L), n)
+    )
 
 
 def benchmarks(spec: MarketSpec) -> Benchmarks:
@@ -171,16 +194,32 @@ def benchmarks(spec: MarketSpec) -> Benchmarks:
     )
 
 
-def _acceptance_gaps(spec: MarketSpec, interim: float) -> np.ndarray:
+def _gaps(c: float, p_L, p_H, interim):
     """Cross-multiplied posterior-vs-c comparison, one entry per outcome.
 
     Positive means the posterior strictly exceeds the reservation value.  All
     factors are probabilities, so the absolute indifference tolerance applies
-    on a bounded scale.
+    on a bounded scale.  Broadcasts over markets and outcomes.
     """
-    p_l = spec.experiment.p_L_array()
-    p_h = spec.experiment.p_H_array()
-    return interim * p_h * (1.0 - spec.c) - (1.0 - interim) * p_l * spec.c
+    return interim * p_H * (1.0 - c) - (1.0 - interim) * p_L * c
+
+
+def _acceptance_gaps(spec: MarketSpec, interim: float) -> np.ndarray:
+    return _gaps(spec.c, spec.experiment.p_L_array(), spec.experiment.p_H_array(), interim)
+
+
+def _best_response_rows(accept: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """Per row, whether every acceptance probability is optimal for its gap.
+
+    Rejecting needs a gap at most the tolerance, accepting one at least minus
+    the tolerance, and mixing needs indifference within the tolerance.
+    """
+    ok = np.where(
+        accept == 0.0,
+        gaps <= INDIFFERENCE_TOL,
+        np.where(accept == 1.0, gaps >= -INDIFFERENCE_TOL, np.abs(gaps) <= INDIFFERENCE_TOL),
+    )
+    return ok.all(axis=-1)
 
 
 def best_response(spec: MarketSpec, interim: float) -> BestResponse:
@@ -196,124 +235,238 @@ def best_response(spec: MarketSpec, interim: float) -> BestResponse:
 
 def is_optimal_against(spec: MarketSpec, strategy: Strategy, interim: float) -> bool:
     """Whether ``strategy`` is a best response to ``interim`` (indifference tolerated)."""
-    gaps = _acceptance_gaps(spec, interim)
-    for a, gap in zip(strategy.accept, gaps):
-        if a == 0.0:
-            ok = gap <= INDIFFERENCE_TOL
-        elif a == 1.0:
-            ok = gap >= -INDIFFERENCE_TOL
-        else:
-            ok = abs(gap) <= INDIFFERENCE_TOL
-        if not ok:
-            return False
-    return True
+    _check_length(spec, strategy)
+    return bool(_best_response_rows(strategy.as_array(), _acceptance_gaps(spec, interim)))
 
 
-def _mixing_gap_curve(
-    spec: MarketSpec, j: int, alphas: np.ndarray
-) -> np.ndarray:
-    """Indifference gap at outcome ``j`` for cutoff-``j`` strategies with mixing ``alphas``."""
-    p_l = spec.experiment.p_L_array()
-    p_h = spec.experiment.p_H_array()
-    tail_l = float(p_l[j + 1 :].sum())
-    tail_h = float(p_h[j + 1 :].sum())
-    r_l = 1.0 - tail_l - alphas * p_l[j]
-    r_h = 1.0 - tail_h - alphas * p_h[j]
-    psi = interim_from_rejections(spec.rho, r_l, r_h, spec.n)
-    return psi * p_h[j] * (1.0 - spec.c) - (1.0 - psi) * p_l[j] * spec.c
+# Grid points of the mixing-gap scan evaluated per block.  It bounds the
+# kernel's scratch memory whatever the batch size, and keeps each temporary
+# array (15 rows of 1025 doubles) under glibc's default 128 KiB mmap
+# threshold, so temporaries are reused from the heap instead of being
+# mapped, page-faulted and unmapped on every operation (about 3x slower).
+_GRID_BLOCK = 1 << 14
+_DEDUP_TOL = 1e-9
+_CHAIN_TOL = 1e-12
 
 
-def _solve_equilibrium_record(spec: MarketSpec, strategy: Strategy) -> Equilibrium:
-    psi = interim_belief(spec, strategy)
-    r_l, r_h = rejection_probs(spec, strategy)
-    cutoff = next((i for i, a in enumerate(strategy.accept) if a > 0.0), strategy.m)
-    mixing = strategy.accept[cutoff] if cutoff < strategy.m else 0.0
-    return Equilibrium(
-        strategy=strategy,
-        interim=psi,
-        r_L=r_l,
-        r_H=r_h,
-        surplus=total_surplus(spec, strategy),
-        cutoff_index=cutoff,
-        mixing_prob=mixing,
+def _mixing_gaps(rho: float, c: float, tail_L, tail_H, p_L, p_H, n, alphas):
+    """Indifference gap at the cutoff outcome (masses ``p_L``, ``p_H``) of
+    cutoff strategies mixing with probability ``alphas`` there and accepting
+    the outcomes above (masses ``tail_L``, ``tail_H``)."""
+    r_l = 1.0 - tail_L - alphas * p_L
+    r_h = 1.0 - tail_H - alphas * p_H
+    return _gaps(c, p_L, p_H, interim_from_rejections(rho, r_l, r_h, n))
+
+
+def _solve_chains(rho: float, c: float, p_L: np.ndarray, p_H: np.ndarray, n: np.ndarray) -> list:
+    """Equilibrium chains of ``B`` markets that share ``rho`` and ``c``.
+
+    ``p_L`` and ``p_H`` are ``(B, m)`` outcome masses in likelihood-ratio
+    order and ``n`` the ``B`` market sizes.  Returns, per market, its chain
+    sorted most selective first, or the ``NoEquilibriumFound`` it raises.
+
+    Candidates, in the order they are found: every pure cutoff (never-accept
+    included), then for each cutoff outcome the interior roots of its
+    indifference gap, scanned on a uniform grid of ``DEFAULT_MIXING_GRID``
+    cells in grid order.  A grid point where the gap is exactly zero is a
+    root; a cell whose end gaps have a negative product is bisected to
+    ``MIXING_ROOT_TOL``.  All roots are kept because the interim belief need
+    not be monotone in the mixing probability for general experiments.  A
+    candidate counts when it is a best response to its consistent belief.
+    Candidates within ``_DEDUP_TOL`` pointwise of an earlier kept one are
+    pooled, and the rest must form a selectivity chain.
+
+    The arithmetic is elementwise and in the same order as a one-market
+    evaluation, so a market's records do not depend on the batch around it.
+    Acceptance-weighted masses are summed left to right.
+    """
+    B, m = p_L.shape
+    alphas = np.linspace(0.0, 1.0, DEFAULT_MIXING_GRID + 1)
+
+    # The mixing-gap scan over (market, cutoff outcome) pairs, in blocks.
+    tail_L = np.stack([p_L[:, j + 1 :].sum(axis=1) for j in range(m)], axis=1).ravel()
+    tail_H = np.stack([p_H[:, j + 1 :].sum(axis=1) for j in range(m)], axis=1).ravel()
+    pair_L, pair_H, pair_n = p_L.ravel(), p_H.ravel(), np.repeat(n, m)
+    interior = (alphas[:-1] > 0.0) & (alphas[:-1] < 1.0)
+    pairs, cells, changes, g_cell = [np.empty(0, int)], [np.empty(0, int)], [np.empty(0, bool)], [np.empty(0)]
+    step = max(1, _GRID_BLOCK // alphas.size)
+    for start in range(0, B * m, step):
+        blk = slice(start, start + step)
+        col = lambda a: a[blk, None]
+        g = _mixing_gaps(
+            rho, c, col(tail_L), col(tail_H), col(pair_L), col(pair_H), col(pair_n), alphas
+        )
+        g0, g1 = g[:, :-1], g[:, 1:]
+        # A cell holds a root when its left point is an exact interior zero
+        # or its ends change sign; never both, since a zero end makes the
+        # product zero.  nonzero() lists the cells in found order.
+        change = g0 * g1 < 0.0
+        hit = change | ((g0 == 0.0) & interior)
+        if hit.any():
+            pair, cell = np.nonzero(hit)
+            pairs.append(pair + start)
+            cells.append(cell)
+            changes.append(change[pair, cell])
+            g_cell.append(g0[pair, cell])
+    pair, cell, change, g_lo = map(np.concatenate, (pairs, cells, changes, g_cell))
+
+    # Refine every bracket at once: bisection with the one-bracket stopping
+    # rule (|gap| within MIXING_ROOT_TOL, or the cell narrower than 1e-16).
+    alpha = alphas[cell]
+    bracket = np.flatnonzero(change)
+    lo, hi, g_lo = alphas[cell[bracket]], alphas[cell[bracket] + 1], g_lo[bracket]
+    b_pair = pair[bracket]
+    active = np.arange(bracket.size)
+    for _ in range(200):
+        if not active.size:
+            break
+        a, p = active, b_pair[active]
+        mid = 0.5 * (lo[a] + hi[a])
+        g_mid = _mixing_gaps(rho, c, tail_L[p], tail_H[p], pair_L[p], pair_H[p], pair_n[p], mid)
+        done = (np.abs(g_mid) <= MIXING_ROOT_TOL) | (hi[a] - lo[a] < 1e-16)
+        alpha[bracket[a[done]]] = mid[done]
+        same = (g_lo[a] < 0.0) == (g_mid < 0.0)
+        up, down = ~done & same, ~done & ~same
+        lo[a[up]], g_lo[a[up]] = mid[up], g_mid[up]
+        hi[a[down]] = mid[down]
+        active = a[~done]
+    alpha[bracket[active]] = 0.5 * (lo[active] + hi[active])
+    inside = (alpha > 0.0) & (alpha < 1.0)
+
+    # Candidates: pure cutoffs 0..m (mixing 1 at the cutoff, 0 for
+    # never-accept) before the mixing roots; a stable sort by market keeps
+    # the found order within each market.
+    pure_j = np.tile(np.arange(m + 1), B)
+    row = np.concatenate([np.repeat(np.arange(B), m + 1), pair[inside] // m])
+    cut = np.concatenate([pure_j, pair[inside] % m])
+    mix = np.concatenate([np.where(pure_j < m, 1.0, 0.0), alpha[inside]])
+    order = np.argsort(row, kind="stable")
+    row, cut, mix = row[order], cut[order], mix[order]
+    cols = np.arange(m)
+    accept = np.where(cols < cut[:, None], 0.0, np.where(cols == cut[:, None], mix[:, None], 1.0))
+
+    # Each candidate against its consistent interim belief.
+    P_L, P_H = p_L[row], p_H[row]
+    dot_L, dot_H = np.zeros(row.size), np.zeros(row.size)
+    for i in range(m):
+        dot_L = dot_L + P_L[:, i] * accept[:, i]
+        dot_H = dot_H + P_H[:, i] * accept[:, i]
+    r_L = np.minimum(1.0, np.maximum(0.0, 1.0 - dot_L))
+    r_H = np.minimum(1.0, np.maximum(0.0, 1.0 - dot_H))
+    psi = interim_from_rejections(rho, r_L, r_H, n[row])
+    ok = _best_response_rows(accept, _gaps(c, P_L, P_H, psi[:, None]))
+    row, cut, mix, accept, r_L, r_H, psi = (
+        a[ok] for a in (row, cut, mix, accept, r_L, r_H, psi)
     )
 
+    # Selectivity key: total acceptance, summed left to right.
+    size = accept[:, 0].copy()
+    for i in range(1, m):
+        size = size + accept[:, i]
+    keep = _pool_near_duplicates(row, accept, size, m)
+    row, cut, mix, accept, r_L, r_H, psi, size = (
+        a[keep] for a in (row, cut, mix, accept, r_L, r_H, psi, size)
+    )
+    order = np.lexsort((size, row))  # stable: ties keep the found order
+    row, cut, mix, accept, r_L, r_H, psi = (
+        a[order] for a in (row, cut, mix, accept, r_L, r_H, psi)
+    )
+    same_row = row[1:] == row[:-1]
+    broken = same_row & ~(accept[:-1] <= accept[1:] + _CHAIN_TOL).all(axis=1)
+    surplus = _surplus(rho, c, n[row], r_L, r_H)
 
-def enumerate_equilibria(
-    spec: MarketSpec, mixing_grid: int = DEFAULT_MIXING_GRID
-) -> tuple[Equilibrium, ...]:
+    chains: list = [[] for _ in range(B)]
+    records = zip(
+        row.tolist(), accept.tolist(), psi.tolist(), r_L.tolist(), r_H.tolist(),
+        surplus.tolist(), cut.tolist(), mix.tolist(),
+    )
+    for b, acc, interim, rl, rh, s, j, a in records:
+        chains[b].append(Equilibrium(Strategy(tuple(acc)), interim, rl, rh, s, j, a))
+    not_chain = set(row[1:][broken].tolist())
+    out: list = []
+    for b, chain in enumerate(chains):
+        if not chain:
+            out.append(NoEquilibriumFound(f"no equilibrium found at rho={rho}, c={c}, n={n[b]}"))
+        elif b in not_chain:
+            out.append(NoEquilibriumFound("equilibrium set is not a selectivity chain"))
+        else:
+            out.append(tuple(chain))
+    return out
+
+
+def _pool_near_duplicates(row: np.ndarray, accept: np.ndarray, size: np.ndarray, m: int) -> np.ndarray:
+    """Mask keeping each candidate unless an earlier kept one of its market
+    lies within ``_DEDUP_TOL`` pointwise (candidates in found order).
+
+    Two strategies that close differ in total acceptance by at most
+    ``m * _DEDUP_TOL``, so only markets with two candidates whose sizes are
+    that close (twice that, for rounding) are compared, one candidate at a
+    time against the kept set.
+    """
+    keep = np.ones(row.size, dtype=bool)
+    by_size = np.lexsort((size, row))
+    close = (row[by_size][1:] == row[by_size][:-1]) & (
+        np.diff(size[by_size]) <= 2 * m * _DEDUP_TOL
+    )
+    for b in sorted(set(row[by_size][1:][close].tolist())):
+        first, last = np.searchsorted(row, [b, b + 1])
+        kept = np.empty((last - first, m))
+        count = 0
+        for t in range(first, last):
+            if count and np.abs(kept[:count] - accept[t]).max(axis=1).min() <= _DEDUP_TOL:
+                keep[t] = False
+            else:
+                kept[count] = accept[t]
+                count += 1
+    return keep
+
+
+def enumerate_chains(specs: Sequence[MarketSpec]) -> list[tuple[Equilibrium, ...]]:
+    """``enumerate_equilibria`` of every market in ``specs``, in order.
+
+    Markets sharing ``rho``, ``c`` and the outcome count are solved together
+    in one batch.  If any market fails, raises what the first failing one
+    raises.
+    """
+    results: list = [None] * len(specs)
+    groups: dict[tuple[float, float, int], list[int]] = {}
+    for i, spec in enumerate(specs):
+        try:
+            spec.require_interior_prior()
+        except DegeneratePrior as exc:
+            results[i] = exc
+            continue
+        groups.setdefault((spec.rho, spec.c, spec.experiment.m), []).append(i)
+    for (rho, c, m), idx in groups.items():
+        masses = np.array([specs[i].experiment.mass_pairs() for i in idx], dtype=float)
+        p_L = np.ascontiguousarray(masses[:, :, 0])
+        p_H = np.ascontiguousarray(masses[:, :, 1])
+        n = np.array([specs[i].n for i in idx])
+        for i, chain in zip(idx, _solve_chains(rho, c, p_L, p_H, n)):
+            results[i] = chain
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return results
+
+
+def enumerate_equilibria(spec: MarketSpec) -> tuple[Equilibrium, ...]:
     """All monotone-cutoff equilibria, sorted most selective first.
 
     Every pure cutoff (including never-accept) is kept when optimal against
-    its consistent belief.  For each cutoff with an interior acceptance
-    probability, the indifference gap is evaluated on a uniform grid and each
-    sign change is refined by bisection; all roots are kept because the
-    interim belief need not be monotone in the mixing probability for general
-    experiments.  Near-duplicates (within 1e-9 pointwise) are pooled.
+    its consistent belief, and so is every interior mixing root of each
+    cutoff's indifference gap (see ``_solve_chains``).  Near-duplicates
+    (within 1e-9 pointwise) are pooled.
     """
-    spec.require_interior_prior()
-    m = spec.experiment.m
-    found: list[Strategy] = []
-
-    for j in range(m + 1):
-        sigma = Strategy.cutoff(m, j)
-        if is_optimal_against(spec, sigma, interim_belief(spec, sigma)):
-            found.append(sigma)
-
-    alphas = np.linspace(0.0, 1.0, mixing_grid + 1)
-    for j in range(m):
-        gaps = _mixing_gap_curve(spec, j, alphas)
-        roots: list[float] = []
-        for k in range(mixing_grid):
-            g0, g1 = gaps[k], gaps[k + 1]
-            if g0 == 0.0 and 0.0 < alphas[k] < 1.0:
-                roots.append(float(alphas[k]))
-            if g0 * g1 < 0.0:
-                roots.append(_bisect_mixing(spec, j, float(alphas[k]), float(alphas[k + 1])))
-        for alpha in roots:
-            if not 0.0 < alpha < 1.0:
-                continue
-            sigma = Strategy.cutoff(m, j, alpha)
-            if is_optimal_against(spec, sigma, interim_belief(spec, sigma)):
-                found.append(sigma)
-
-    deduped: list[Strategy] = []
-    for sigma in found:
-        arr = sigma.as_array()
-        if any(np.max(np.abs(arr - other.as_array())) <= 1e-9 for other in deduped):
-            continue
-        deduped.append(sigma)
-    if not deduped:
-        raise NoEquilibriumFound(f"no equilibrium found for {spec}")
-
-    deduped.sort(key=lambda s: sum(s.accept))
-    for a, b in zip(deduped, deduped[1:]):
-        if not all(x <= y + 1e-12 for x, y in zip(a.accept, b.accept)):
-            raise NoEquilibriumFound("equilibrium set is not a selectivity chain")
-    return tuple(_solve_equilibrium_record(spec, s) for s in deduped)
+    return enumerate_chains([spec])[0]
 
 
-def _bisect_mixing(spec: MarketSpec, j: int, lo: float, hi: float) -> float:
-    g = lambda a: float(_mixing_gap_curve(spec, j, np.asarray([a]))[0])
-    g_lo = g(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        g_mid = g(mid)
-        if abs(g_mid) <= MIXING_ROOT_TOL or hi - lo < 1e-16:
-            return mid
-        if (g_lo < 0.0) == (g_mid < 0.0):
-            lo, g_lo = mid, g_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def most_selective(spec: MarketSpec) -> Equilibrium:
+    return enumerate_equilibria(spec)[0]
 
 
-def most_selective(spec: MarketSpec, mixing_grid: int = DEFAULT_MIXING_GRID) -> Equilibrium:
-    return enumerate_equilibria(spec, mixing_grid)[0]
-
-
-def least_selective(spec: MarketSpec, mixing_grid: int = DEFAULT_MIXING_GRID) -> Equilibrium:
-    return enumerate_equilibria(spec, mixing_grid)[-1]
+def least_selective(spec: MarketSpec) -> Equilibrium:
+    return enumerate_equilibria(spec)[-1]
 
 
 def select_equilibrium(spec: MarketSpec, selector: str) -> Equilibrium:

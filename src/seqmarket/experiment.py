@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     ColumnSumMismatch,
@@ -338,6 +337,10 @@ def is_garbling_of(coarse: FiniteExperiment, fine: FiniteExperiment) -> bool:
     feasible means every mass constraint holds within
     ``GARBLING_FEASIBILITY_TOL``.
     """
+    # Imported here: scipy.optimize costs most of the package's import time
+    # and nothing else uses it.
+    from scipy.optimize import linprog
+
     m, r = fine.m, coarse.m
     n_t = m * r
     # Variables: T entries, then (u, v) slack pairs for the 2r mass equations.

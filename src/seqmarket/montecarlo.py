@@ -14,6 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# Loaded with the module (numpy defers it until first use), so the first
+# simulation does not pay for importing it.
+from numpy.random import Generator, Philox
 
 from .errors import LengthMismatch, NoFocalBuyer
 from .equilibrium import MarketSpec, Strategy
@@ -61,9 +64,9 @@ class TracePoint:
     surplus: float
 
 
-def _block_rng(seed: int, block: int) -> np.random.Generator:
+def _block_rng(seed: int, block: int) -> Generator:
     key = ((block + 1) << 64) | (seed & ((1 << 64) - 1))
-    return np.random.Generator(np.random.Philox(key=key))
+    return Generator(Philox(key=key))
 
 
 def _binomial_se(successes: float, count: float) -> float:

@@ -16,6 +16,9 @@ from .equilibrium import (
     MarketSpec,
     Strategy,
     benchmarks,
+    enumerate_chains,
+    # Unused here since the sweeps batch their markets, but kept importable
+    # from statics: perfbench's tracer test checks that statics binds it.
     enumerate_equilibria,
     interim_from_rejections,
     rejection_probs,
@@ -85,23 +88,20 @@ def surplus_vs_n(spec: MarketSpec, n_max: int) -> NSweepResult:
     """
     if n_max < 1:
         raise ValueError(f"n_max={n_max} must be at least 1")
-    records = []
-    for n in range(1, n_max + 1):
-        chain = enumerate_equilibria(spec.with_n(n))
-        records.append(NSweepPoint(n, chain[0].surplus, chain[-1].surplus))
+    chains = enumerate_chains([spec.with_n(n) for n in range(1, n_max + 1)])
+    records = [
+        NSweepPoint(n, chain[0].surplus, chain[-1].surplus) for n, chain in enumerate(chains, 1)
+    ]
     limit_class, predicted = classify_limit(spec)
     direction = 1.0 if limit_class is LimitClass.FULL_INFO else -1.0
-    cutover: int | None = None
-    for start in range(len(records) - 1, -1, -1):
-        tail_ok = all(
-            direction * (records[k + 1].most_selective_surplus - records[k].most_selective_surplus)
-            >= -MONOTONE_TAIL_TOL
-            for k in range(start, len(records) - 1)
-        )
-        if tail_ok:
-            cutover = records[start].n
-        else:
+    # One backward pass: the tail from k is monotone iff the step k -> k+1
+    # is and the tail from k+1 is.
+    cutover = records[-1].n
+    for k in range(len(records) - 2, -1, -1):
+        step = records[k + 1].most_selective_surplus - records[k].most_selective_surplus
+        if not direction * step >= -MONOTONE_TAIL_TOL:
             break
+        cutover = records[k].n
     return NSweepResult(tuple(records), limit_class, predicted, cutover)
 
 
@@ -307,19 +307,34 @@ def sweep_binary(
     s_low, s_high = _binary_labels(spec)
     if dimension not in ("bad", "good"):
         raise ValueError(f"dimension must be 'bad' or 'good', got {dimension!r}")
-    points = []
+    labels, specs, invalid = [], [], None
     for value in grid:
-        v = float(value)
-        if dimension == "bad":
-            if not 0.0 <= v <= 0.5:
-                raise GridOutOfRange(f"bad-news label {v} outside [0, 0.5]")
-            sl, sh = v, s_high
-        else:
-            if not 0.5 <= v <= 1.0:
-                raise GridOutOfRange(f"good-news label {v} outside [0.5, 1]")
-            sl, sh = s_low, v
-        exp = binary_experiment_from_labels(sl, sh)
-        eq = select_equilibrium(spec.with_experiment(exp), selector)
+        try:
+            v = float(value)
+            if dimension == "bad":
+                if not 0.0 <= v <= 0.5:
+                    raise GridOutOfRange(f"bad-news label {v} outside [0, 0.5]")
+                sl, sh = v, s_high
+            else:
+                if not 0.5 <= v <= 1.0:
+                    raise GridOutOfRange(f"good-news label {v} outside [0.5, 1]")
+                sl, sh = s_low, v
+            exp = binary_experiment_from_labels(sl, sh)
+            if selector not in ("most", "least"):
+                raise ValueError(f"selector must be 'most' or 'least', got {selector!r}")
+        except ValueError as exc:
+            invalid = exc
+            break
+        labels.append((sl, sh))
+        specs.append(spec.with_experiment(exp))
+    # Solve the points before an invalid one first, so a solver failure
+    # there is raised ahead of it, as a point-by-point loop would.
+    chains = enumerate_chains(specs)
+    if invalid is not None:
+        raise invalid
+    points = []
+    for (sl, sh), chain in zip(labels, chains):
+        eq = chain[0] if selector == "most" else chain[-1]
         points.append(SweepPoint(sl, sh, eq, eq.surplus))
     return SweepCurve(dimension, selector, tuple(points))
 

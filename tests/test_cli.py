@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -193,6 +196,25 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "enumerate_equilibria", boom)
         code = cli.main(["solve", "--config", str(write_config(tmp_path, DEMO_DOC)), "--out", str(tmp_path)])
         assert code == 1
+
+    def test_section8_without_a_unique_equilibrium_is_exit_one(self, tmp_path, monkeypatch, capsys):
+        real = cli.enumerate_chains
+
+        def doubled(specs):
+            return [chain + chain for chain in real(specs)]
+
+        monkeypatch.setattr(cli, "enumerate_chains", doubled)
+        assert cli.main(["repro", "section8", "--out", str(tmp_path)]) == 1
+        assert "unique equilibrium at n=1" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    """No command needs the LP solver, so importing the CLI must not load it."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = "import sys, seqmarket.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestRepro:

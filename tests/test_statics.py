@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+
+import seqmarket.statics as statics
 
 from conftest import random_market
 from seqmarket.equilibrium import MarketSpec, Strategy, most_selective, select_equilibrium
@@ -52,6 +55,17 @@ class TestSurplusVsN:
         most = [p.most_selective_surplus for p in res.records]
         assert most[:4] == pytest.approx([0.1, 0.084, 0.052, 0.02256], abs=1e-12)
         assert all(abs(x) <= 1e-9 for x in most[4:])
+
+    def test_cutover_is_the_start_of_the_longest_monotone_tail(self, monkeypatch):
+        series = [0.1, 0.3, 0.2, 0.25, 0.26, 0.26, 0.27]
+        fake = [(SimpleNamespace(surplus=s),) for s in series]
+        monkeypatch.setattr(statics, "enumerate_chains", lambda specs: fake[: len(specs)])
+        # Full-information limit: the series must be weakly increasing.
+        assert surplus_vs_n(revealing_market(), 7).eventual_monotone_from == 3
+        assert surplus_vs_n(revealing_market(), 2).eventual_monotone_from == 1
+        assert surplus_vs_n(revealing_market(), 1).eventual_monotone_from == 1
+        # No-information limit: weakly decreasing, so only the last step from 0.3.
+        assert surplus_vs_n(tight_market(), 3).eventual_monotone_from == 2
 
     def test_uninformative_experiment_is_flat(self):
         spec = MarketSpec(0.5, 0.2, 1, build_experiment([(1.0, 1.0)]))
