@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,7 @@ from .equilibrium import (
     select_equilibrium,
 )
 from .errors import MarketModelError, NoEquilibriumFound, SchemaError, ValidationError
-from .experiment import LocalSpreadParams, OddsRatio, build_experiment
+from .experiment import LocalSpreadParams, OddsRatio, build_experiment, posterior
 from .scenarios import demo_market, revealing_market, tight_market
 from .statics import spread_surplus_delta, surplus_vs_n, sweep_binary
 
@@ -500,11 +500,6 @@ def _cmd_simulate(config: RunConfig, out: Path) -> list[Path]:
     return [path]
 
 
-def _posterior_from(interim: float, p_l: float, p_h: float) -> float:
-    num = interim * p_h
-    return num / (num + (1.0 - interim) * p_l)
-
-
 def _repro_table1(out: Path) -> list[Path]:
     spec = demo_market()
     chain = enumerate_equilibria(spec)
@@ -517,8 +512,8 @@ def _repro_table1(out: Path) -> list[Path]:
                 eq.strategy.accept[0],
                 eq.strategy.accept[1],
                 eq.interim,
-                _posterior_from(eq.interim, high.p_L, high.p_H),
-                _posterior_from(eq.interim, low.p_L, low.p_H),
+                posterior(eq.interim, high),
+                posterior(eq.interim, low),
             ]
         )
     path = out / "table1.csv"
@@ -655,29 +650,23 @@ def _parse_grid_flag(text: str) -> tuple[float, ...]:
 
 
 def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
-    sweep_bin = config.sweep_binary
-    if getattr(args, "grid", None) is not None and sweep_bin is not None:
-        sweep_bin = SweepBinaryConfig(sweep_bin.dimension, _parse_grid_flag(args.grid), sweep_bin.selector)
-    if getattr(args, "selector", None) is not None:
-        if sweep_bin is not None:
-            sweep_bin = SweepBinaryConfig(sweep_bin.dimension, sweep_bin.grid, args.selector)
-        if config.spread is not None:
-            config = RunConfig(
-                config.market,
-                config.sweep_n,
-                sweep_bin,
-                SpreadConfig(config.spread.index, config.spread.lr_low, config.spread.lr_high, args.selector),
-                config.design,
-                config.simulate,
-            )
-            return config
-    simulate = config.simulate
+    """The config with the command's flags applied; a flag is held to the
+    bounds of the config key it replaces."""
+    flags = {key: value for key, value in vars(args).items() if value is not None}
+    for key, lo in (("trials", 1), ("seed", 0)):
+        if flags.get(key, lo) < lo:
+            raise ValidationError(f"--{key}: {flags[key]} below minimum {lo}")
+    sweep_bin, spread, simulate = config.sweep_binary, config.spread, config.simulate
+    if sweep_bin is not None:
+        grid = _parse_grid_flag(flags["grid"]) if "grid" in flags else sweep_bin.grid
+        sweep_bin = replace(sweep_bin, grid=grid, selector=flags.get("selector", sweep_bin.selector))
+    if spread is not None:
+        spread = replace(spread, selector=flags.get("selector", spread.selector))
     if simulate is not None:
-        trials = getattr(args, "trials", None) or simulate.trials
-        seed = getattr(args, "seed", None)
-        seed = simulate.seed if seed is None else seed
-        simulate = SimulateConfig(trials, seed, simulate.focal_buyer, simulate.strategy)
-    return RunConfig(config.market, config.sweep_n, sweep_bin, config.spread, config.design, simulate)
+        simulate = replace(
+            simulate, trials=flags.get("trials", simulate.trials), seed=flags.get("seed", simulate.seed)
+        )
+    return replace(config, sweep_binary=sweep_bin, spread=spread, simulate=simulate)
 
 
 def run(command: str, config: RunConfig, out: Path) -> list[Path]:

@@ -9,11 +9,13 @@ sign, which is what the optimiser exploits: it returns the least selective
 garbling under which adverse selection is irrelevant when that garbling's
 recommendations are incentive compatible, and otherwise the better of the
 nearest IC points on either side of the peak.
+
+``grid_diagnostics`` evaluates garblings, vectorised over ``D``; the search,
+the reports and the one-garbling predicates all read its rows.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,13 +24,17 @@ from .errors import ParamOutOfRange
 from .equilibrium import (
     INDIFFERENCE_TOL,
     MarketSpec,
-    geometric_sum,
+    _gaps,
+    _irrelevance_display,
     interim_from_rejections,
     surplus_from_rejections,
 )
-from .experiment import FiniteExperiment, OddsRatio, build_experiment
+from .experiment import FiniteExperiment, build_experiment
 
 IC_REFINE_TOL = 1e-12
+# Scan points per unit segment of D in ic_intervals, before its boundaries
+# are bisected.
+IC_SCAN_PER_SEGMENT = 512
 
 
 @dataclass(frozen=True)
@@ -74,102 +80,118 @@ def _threshold_row(m: int, d) -> np.ndarray:
     return np.clip(m - seg, 0, m - 1)
 
 
-def garbling_from_param(exp: FiniteExperiment, d: float) -> MonotoneBinaryGarbling:
-    """The monotone binary garbling with accept weight ``d`` in ``[0, m]``."""
-    if not 0.0 <= d <= exp.m:
-        raise ParamOutOfRange(f"garbling parameter {d} outside [0, {exp.m}]")
-    weights = _accept_weights(exp.m, np.asarray([d]))[0]
-    accept_l = float(weights @ exp.p_L_array())
-    accept_h = float(weights @ exp.p_H_array())
-    return MonotoneBinaryGarbling(
-        base=exp,
-        D=float(d),
-        accept_weights=tuple(float(w) for w in weights),
-        threshold_index=int(_threshold_row(exp.m, np.asarray([d]))[0]),
-        reject_L=max(0.0, 1.0 - accept_l),
-        reject_H=max(0.0, 1.0 - accept_h),
-        accept_L=accept_l,
-        accept_H=accept_h,
+def _row_dots(w: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``w[i] @ p`` for every row ``i``, each one BLAS dot product (a stack
+    of 1 x m by m x 1 products), so a row's value does not depend on the
+    rows around it; a matrix-vector product would round differently."""
+    return (w[:, None, :] @ p[:, None])[:, 0, 0]
+
+
+def _masses(exp: FiniteExperiment, d: np.ndarray):
+    """Accept weights, then the accept and reject masses per state, of the
+    garblings with parameters ``d``.
+
+    A reject mass sums the rejected shares of the rows rather than taking
+    one minus the accept mass: it is then exactly 0 where every row is
+    accepted, where the difference can leave a rounding residue of about
+    1e-16 whose ratio between the states is noise.
+    """
+    weights = _accept_weights(exp.m, d)
+    p_l, p_h = exp.p_L_array(), exp.p_H_array()
+    return (
+        weights,
+        _row_dots(weights, p_l),
+        _row_dots(weights, p_h),
+        _row_dots(1.0 - weights, p_l),
+        _row_dots(1.0 - weights, p_h),
     )
 
 
-def obeyed_surplus(spec: MarketSpec, g: MonotoneBinaryGarbling) -> float:
-    """Total surplus when every buyer follows the recommendations."""
-    return float(surplus_from_rejections(spec, g.reject_L, g.reject_H))
+def _likelihood_ratios(exp: FiniteExperiment) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        return exp.p_H_array() / exp.p_L_array()
 
 
-def is_ic(spec: MarketSpec, g: MonotoneBinaryGarbling) -> bool:
-    """Whether obeying the recommendations is an equilibrium of the induced game.
+def _check_param(exp: FiniteExperiment, d: float) -> None:
+    if not 0.0 <= d <= exp.m:
+        raise ParamOutOfRange(f"garbling parameter {d} outside [0, {exp.m}]")
 
-    Rejecting on the reject recommendation and accepting on the accept
-    recommendation must each be optimal at the consistent interim belief;
-    a recommendation that is never issued imposes no condition.
+
+def garbling_from_param(exp: FiniteExperiment, d: float) -> MonotoneBinaryGarbling:
+    """The monotone binary garbling with accept weight ``d`` in ``[0, m]``."""
+    _check_param(exp, d)
+    weights, accept_l, accept_h, reject_l, reject_h = _masses(exp, np.asarray([d], dtype=float))
+    return MonotoneBinaryGarbling(
+        base=exp,
+        D=float(d),
+        accept_weights=tuple(weights[0].tolist()),
+        threshold_index=int(_threshold_row(exp.m, d)),
+        reject_L=float(reject_l[0]),
+        reject_H=float(reject_h[0]),
+        accept_L=float(accept_l[0]),
+        accept_H=float(accept_h[0]),
+    )
+
+
+def grid_diagnostics(spec: MarketSpec, d_values) -> dict[str, np.ndarray]:
+    """Everything the design reports of the garblings with parameters
+    ``d_values``, in one vectorised pass; the only evaluator of garblings.
+
+    Returns arrays in grid order keyed ``D``; ``weights`` (accept weight per
+    row), ``threshold_row``, ``threshold_label``, ``mixing_weight``;
+    ``accept_L``, ``accept_H``, ``reject_L``, ``reject_H``; ``is_ic``;
+    ``rejection_odds`` and ``finite_margin``, ``margin``, ``is_irrelevant``;
+    and ``obeyed_surplus``.
+
+    A recommendation is IC when obeying it is optimal at the consistent
+    interim belief; one never issued imposes no condition.  The finite
+    margin is prior odds times the threshold row's likelihood ratio times
+    the rejection odds ``r_H / r_L`` to the ``n - 1``, minus the reservation
+    odds.  With no rejection mass (``D == m``) the rejection odds degenerate
+    to the bottom row's likelihood ratio, their limit along the top segment;
+    with no acceptance mass (``D == 0``) to 1, their limit from above.  The
+    reported margin ``F`` is +inf where nothing is ever rejected.
     """
-    psi = float(interim_from_rejections(spec.rho, g.reject_L, g.reject_H, spec.n))
-    if g.reject_L + g.reject_H > 0.0:
-        gap = psi * g.reject_H * (1.0 - spec.c) - (1.0 - psi) * g.reject_L * spec.c
-        if gap > INDIFFERENCE_TOL:
-            return False
-    if g.accept_L + g.accept_H > 0.0:
-        gap = psi * g.accept_H * (1.0 - spec.c) - (1.0 - psi) * g.accept_L * spec.c
-        if gap < -INDIFFERENCE_TOL:
-            return False
-    return True
+    exp = spec.experiment
+    d = np.asarray(d_values, dtype=float)
+    weights, accept_l, accept_h, reject_l, reject_h = _masses(exp, d)
+    rows = _threshold_row(exp.m, d)
+    no_reject = reject_l + reject_h == 0.0
+    no_accept = accept_l + accept_h == 0.0
 
+    psi = interim_from_rejections(spec.rho, reject_l, reject_h, spec.n)
+    ic = (no_reject | (_gaps(spec.c, reject_l, reject_h, psi) <= INDIFFERENCE_TOL)) & (
+        no_accept | (_gaps(spec.c, accept_l, accept_h, psi) >= -INDIFFERENCE_TOL)
+    )
 
-def _cost_odds(spec: MarketSpec) -> float:
-    return spec.c / (1.0 - spec.c) if spec.c < 1.0 else math.inf
-
-
-def _margin_value(spec: MarketSpec, g: MonotoneBinaryGarbling) -> float:
-    """The irrelevance margin read as a finite left limit everywhere.
-
-    Interior: prior odds times the threshold row's likelihood ratio times the
-    rejection-odds ratio to the ``n - 1``, minus the reservation odds.  With
-    no rejection mass (``D == m``) the rejection-odds ratio degenerates to the
-    bottom row's likelihood ratio, its limit along the top segment; with no
-    acceptance mass (``D == 0``) it degenerates to 1, its limit from above.
-    """
-    lr_star = g.base.likelihood_ratio(g.threshold_index)
-    if g.reject_L == 0.0 and g.reject_H == 0.0:
-        ratio = g.base.likelihood_ratio(0)
-    elif g.accept_L + g.accept_H == 0.0:
-        ratio = OddsRatio(1.0, 1.0)
-    else:
-        ratio = OddsRatio(g.reject_H, g.reject_L)
-    prod = OddsRatio.from_prob(spec.rho).times(lr_star).times(ratio.pow(spec.n - 1))
-    return prod.as_float() - _cost_odds(spec)
-
-
-def irrelevance_margin(spec: MarketSpec, g: MonotoneBinaryGarbling) -> float:
-    """Signed irrelevance margin ``F``; +inf when nothing is ever rejected."""
-    if g.reject_L == 0.0 and g.reject_H == 0.0:
-        return math.inf
-    return _margin_value(spec, g)
-
-
-def _never_reject_irrelevant(spec: MarketSpec) -> bool:
-    """Irrelevance clause for a garbling that recommends no rejections:
-    even ``n`` bottom signals would leave trade weakly profitable."""
-    bottom = spec.experiment.likelihood_ratio(0)
-    lhs = OddsRatio.from_prob(spec.rho).times(bottom.pow(spec.n))
-    return lhs.geq(OddsRatio.from_prob(spec.c))
-
-
-def is_irrelevant(spec: MarketSpec, g: MonotoneBinaryGarbling) -> bool:
-    """Adverse-selection irrelevance of a garbling.
-
-    Holds if the margin is nonnegative, if the garbling never recommends an
-    acceptance, or if it never recommends a rejection and even the worst
-    possible signal profile leaves trade weakly profitable.  The last clause
-    can disagree with the +inf margin convention; both readings are exposed
-    so reports can show the disagreement rather than hide it.
-    """
-    if g.accept_L + g.accept_H == 0.0:
-        return True
-    if g.reject_L + g.reject_H == 0.0:
-        return _never_reject_irrelevant(spec)
-    return _margin_value(spec, g) >= 0.0
+    lr = _likelihood_ratios(exp)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        odds = np.where(no_reject, lr[0], np.where(no_accept, 1.0, reject_h / reject_l))
+    finite_margin = _irrelevance_display(spec.rho, spec.c, lr[rows], odds, spec.n - 1)
+    # Irrelevance also holds where acceptance is never recommended, and,
+    # where rejection never is, only if even n bottom signals leave trade
+    # weakly profitable; that clause can disagree with the +inf margin.
+    never_reject_ok = no_reject.any() and (
+        _irrelevance_display(spec.rho, spec.c, lr[0], lr[0], spec.n - 1) >= 0.0
+    )
+    irrelevant = no_accept | np.where(no_reject, never_reject_ok, finite_margin >= 0.0)
+    return {
+        "D": d,
+        "weights": weights,
+        "threshold_row": rows,
+        "threshold_label": np.asarray(exp.labels)[rows],
+        "mixing_weight": weights[np.arange(d.size), rows],
+        "accept_L": accept_l,
+        "accept_H": accept_h,
+        "reject_L": reject_l,
+        "reject_H": reject_h,
+        "is_ic": ic,
+        "rejection_odds": odds,
+        "finite_margin": finite_margin,
+        "margin": np.where(no_reject, np.inf, finite_margin),
+        "is_irrelevant": irrelevant,
+        "obeyed_surplus": surplus_from_rejections(spec, reject_l, reject_h),
+    }
 
 
 @dataclass(frozen=True)
@@ -181,19 +203,55 @@ class GarblingReport:
     obeyed_surplus: float
 
 
+_REPORT_COLUMNS = (
+    "D", "weights", "threshold_row", "reject_L", "reject_H", "accept_L", "accept_H",
+    "is_ic", "is_irrelevant", "margin", "obeyed_surplus",
+)
+
+
+def _reports(spec: MarketSpec, diag: dict[str, np.ndarray]) -> list[GarblingReport]:
+    return [
+        GarblingReport(
+            MonotoneBinaryGarbling(spec.experiment, d, tuple(w), row, rl, rh, al, ah), ic, irr, f, s
+        )
+        for d, w, row, rl, rh, al, ah, ic, irr, f, s in zip(*(diag[k].tolist() for k in _REPORT_COLUMNS))
+    ]
+
+
 def report_at(spec: MarketSpec, d: float) -> GarblingReport:
-    g = garbling_from_param(spec.experiment, d)
-    return GarblingReport(
-        garbling=g,
-        is_ic=is_ic(spec, g),
-        is_irrelevant=is_irrelevant(spec, g),
-        irrelevance_margin=irrelevance_margin(spec, g),
-        obeyed_surplus=obeyed_surplus(spec, g),
-    )
+    _check_param(spec.experiment, d)
+    return _reports(spec, grid_diagnostics(spec, [d]))[0]
 
 
-def _margin_at(spec: MarketSpec, d: float) -> float:
-    return _margin_value(spec, garbling_from_param(spec.experiment, d))
+def _row(spec: MarketSpec, g: MonotoneBinaryGarbling) -> dict[str, np.ndarray]:
+    return grid_diagnostics(spec.with_experiment(g.base), [g.D])
+
+
+def obeyed_surplus(spec: MarketSpec, g: MonotoneBinaryGarbling) -> float:
+    """Total surplus when every buyer follows the recommendations."""
+    return float(_row(spec, g)["obeyed_surplus"][0])
+
+
+def is_ic(spec: MarketSpec, g: MonotoneBinaryGarbling) -> bool:
+    """Whether obeying the recommendations is an equilibrium of the induced game."""
+    return bool(_row(spec, g)["is_ic"][0])
+
+
+def irrelevance_margin(spec: MarketSpec, g: MonotoneBinaryGarbling) -> float:
+    """Signed irrelevance margin ``F``; +inf when nothing is ever rejected."""
+    return float(_row(spec, g)["margin"][0])
+
+
+def is_irrelevant(spec: MarketSpec, g: MonotoneBinaryGarbling) -> bool:
+    """Adverse-selection irrelevance of a garbling.
+
+    Holds if the margin is nonnegative, if the garbling never recommends an
+    acceptance, or if it never recommends a rejection and even the worst
+    possible signal profile leaves trade weakly profitable.  The last clause
+    can disagree with the +inf margin convention; both readings are exposed
+    so reports can show the disagreement rather than hide it.
+    """
+    return bool(_row(spec, g)["is_irrelevant"][0])
 
 
 def max_irrelevant_param(spec: MarketSpec) -> float:
@@ -206,31 +264,21 @@ def max_irrelevant_param(spec: MarketSpec) -> float:
     is never recommended there).
     """
     m = spec.experiment.m
-    cost = _cost_odds(spec)
+    ends = grid_diagnostics(spec, np.arange(m + 1, dtype=float))
+    # The margin's limit at the left end of segment (seg - 1, seg], which
+    # splits row m - seg: that row's likelihood ratio with the rejection
+    # odds of the garbling seg - 1.
+    lr_split = _likelihood_ratios(spec.experiment)[::-1]
+    left = _irrelevance_display(spec.rho, spec.c, lr_split, ends["rejection_odds"][:-1], spec.n - 1)
     for seg in range(m, 0, -1):
-        if _margin_at(spec, float(seg)) >= 0.0:
+        if ends["finite_margin"][seg] >= 0.0:
             return float(seg)
-        # Left-end value of this segment: threshold row m - seg, rejection
-        # masses of the integer garbling just below.
-        at_left = garbling_from_param(spec.experiment, float(seg - 1))
-        if at_left.reject_L == 0.0 and at_left.reject_H == 0.0:
-            ratio = spec.experiment.likelihood_ratio(0)
-        else:
-            ratio = OddsRatio(at_left.reject_H, at_left.reject_L)
-        lr_star = spec.experiment.likelihood_ratio(m - seg)
-        f_left = (
-            OddsRatio.from_prob(spec.rho)
-            .times(lr_star)
-            .times(ratio.pow(spec.n - 1))
-            .as_float()
-            - cost
-        )
-        if f_left < 0.0:
+        if left[seg - 1] < 0.0:
             continue
         lo, hi = float(seg - 1), float(seg)
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if _margin_at(spec, mid) >= 0.0:
+            if grid_diagnostics(spec, [mid])["finite_margin"][0] >= 0.0:
                 lo = mid
             else:
                 hi = mid
@@ -238,45 +286,32 @@ def max_irrelevant_param(spec: MarketSpec) -> float:
     return 0.0
 
 
-def _ic_ok(spec: MarketSpec, d: float) -> bool:
-    return is_ic(spec, garbling_from_param(spec.experiment, d))
-
-
-def ic_intervals(spec: MarketSpec, scan_per_segment: int = 512) -> tuple[tuple[float, float], ...]:
+def ic_intervals(spec: MarketSpec) -> tuple[tuple[float, float], ...]:
     """The set of ``D`` with incentive-compatible recommendations, as closed
     intervals.  Both IC margins are continuous in ``D``, so a dense scan with
     bisection-refined boundaries recovers the set to ``IC_REFINE_TOL``."""
     m = spec.experiment.m
-    grid = np.linspace(0.0, float(m), m * scan_per_segment + 1)
-    ok = [_ic_ok(spec, float(d)) for d in grid]
-    intervals: list[list[float]] = []
-    for i, (d, good) in enumerate(zip(grid, ok)):
-        if not good:
-            continue
-        if i == 0 or not ok[i - 1]:
-            lo = float(d)
-            if i > 0:
-                a, b = float(grid[i - 1]), float(d)
-                while b - a > IC_REFINE_TOL:
-                    mid = 0.5 * (a + b)
-                    if _ic_ok(spec, mid):
-                        b = mid
-                    else:
-                        a = mid
-                lo = b
-            intervals.append([lo, lo])
-        hi = float(d)
-        if i + 1 < len(grid) and not ok[i + 1]:
-            a, b = float(d), float(grid[i + 1])
-            while b - a > IC_REFINE_TOL:
-                mid = 0.5 * (a + b)
-                if _ic_ok(spec, mid):
-                    a = mid
-                else:
-                    b = mid
-            hi = a
-        intervals[-1][1] = hi
-    return tuple((lo, hi) for lo, hi in intervals)
+    grid = np.linspace(0.0, float(m), m * IC_SCAN_PER_SEGMENT + 1)
+    ok = grid_diagnostics(spec, grid)["is_ic"]
+    # Bisect every scan cell whose ends disagree, all together, down to
+    # IC_REFINE_TOL; each cell's refined boundary is its IC end.
+    cells = np.flatnonzero(ok[:-1] != ok[1:])
+    a, b, a_ok = grid[cells], grid[cells + 1], ok[cells]
+    active = np.flatnonzero(b - a > IC_REFINE_TOL)
+    while active.size:
+        mid = 0.5 * (a[active] + b[active])
+        up = grid_diagnostics(spec, mid)["is_ic"] == a_ok[active]
+        a[active[up]] = mid[up]
+        b[active[~up]] = mid[~up]
+        active = active[b[active] - a[active] > IC_REFINE_TOL]
+    edge = dict(zip(cells.tolist(), np.where(a_ok, a, b).tolist()))
+    starts = np.flatnonzero(ok & np.r_[True, ~ok[:-1]]).tolist()
+    stops = np.flatnonzero(ok & np.r_[~ok[1:], True]).tolist()
+    last = grid.size - 1
+    return tuple(
+        (edge[i - 1] if i else float(grid[0]), edge[j] if j < last else float(grid[last]))
+        for i, j in zip(starts, stops)
+    )
 
 
 def optimal_garbling(spec: MarketSpec) -> GarblingReport:
@@ -290,8 +325,9 @@ def optimal_garbling(spec: MarketSpec) -> GarblingReport:
     """
     spec.require_interior_prior()
     d_star = max_irrelevant_param(spec)
-    if _ic_ok(spec, d_star):
-        return report_at(spec, d_star)
+    report = report_at(spec, d_star)
+    if report.is_ic:
+        return report
     below: float | None = None
     above: float | None = None
     for lo, hi in ic_intervals(spec):
@@ -304,72 +340,11 @@ def optimal_garbling(spec: MarketSpec) -> GarblingReport:
     candidates = [d for d in (below, above) if d is not None]
     if not candidates:
         raise RuntimeError("no incentive-compatible garbling found; solver defect")
-    best = max(
-        candidates,
-        key=lambda d: (obeyed_surplus(spec, garbling_from_param(spec.experiment, d)), -d),
-    )
-    return report_at(spec, best)
-
-
-def grid_diagnostics(spec: MarketSpec, d_values: np.ndarray) -> dict[str, np.ndarray]:
-    """Vectorised per-parameter diagnostics for a whole ``D`` grid.
-
-    Returns arrays keyed ``D, threshold_label, mixing_weight, is_ic,
-    is_irrelevant, margin, obeyed_surplus`` in grid order.
-    """
-    m = spec.experiment.m
-    d = np.asarray(d_values, dtype=float)
-    p_l, p_h = spec.experiment.p_L_array(), spec.experiment.p_H_array()
-    weights = _accept_weights(m, d)
-    accept_l = weights @ p_l
-    accept_h = weights @ p_h
-    reject_l = np.maximum(0.0, 1.0 - accept_l)
-    reject_h = np.maximum(0.0, 1.0 - accept_h)
-    rows = _threshold_row(m, d)
-    labels = np.asarray(spec.experiment.labels)[rows]
-    mixing = np.take_along_axis(weights, rows[:, None], axis=1)[:, 0]
-
-    psi_num = spec.rho * geometric_sum(reject_h, spec.n)
-    psi_den = (1.0 - spec.rho) * geometric_sum(reject_l, spec.n)
-    psi = psi_num / (psi_num + psi_den)
-    reject_gap = psi * reject_h * (1.0 - spec.c) - (1.0 - psi) * reject_l * spec.c
-    accept_gap = psi * accept_h * (1.0 - spec.c) - (1.0 - psi) * accept_l * spec.c
-    ic = np.where(
-        reject_l + reject_h > 0.0, reject_gap <= INDIFFERENCE_TOL, True
-    ) & np.where(accept_l + accept_h > 0.0, accept_gap >= -INDIFFERENCE_TOL, True)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lr_row = np.asarray(
-            [spec.experiment.likelihood_ratio(int(r)).as_float() for r in range(m)]
-        )[rows]
-        ratio = np.where(reject_l > 0.0, reject_h / np.where(reject_l > 0.0, reject_l, 1.0), np.nan)
-        bottom_lr = spec.experiment.likelihood_ratio(0).as_float()
-        ratio = np.where(reject_l + reject_h == 0.0, bottom_lr, ratio)
-        ratio = np.where(accept_l + accept_h == 0.0, 1.0, ratio)
-        prior_odds = spec.rho / (1.0 - spec.rho)
-        margin = prior_odds * lr_row * ratio ** (spec.n - 1) - _cost_odds(spec)
-        finite_margin = margin.copy()
-        margin = np.where(reject_l + reject_h == 0.0, np.inf, margin)
-
-    never_reject_ok = _never_reject_irrelevant(spec)
-    irrelevant = np.where(
-        accept_l + accept_h == 0.0,
-        True,
-        np.where(reject_l + reject_h == 0.0, never_reject_ok, finite_margin >= 0.0),
-    )
-    surplus = surplus_from_rejections(spec, reject_l, reject_h)
-    return {
-        "D": d,
-        "threshold_label": labels,
-        "mixing_weight": mixing,
-        "is_ic": ic,
-        "is_irrelevant": irrelevant,
-        "margin": margin,
-        "obeyed_surplus": surplus,
-    }
+    reports = _reports(spec, grid_diagnostics(spec, candidates))
+    return max(reports, key=lambda r: (r.obeyed_surplus, -r.garbling.D))
 
 
 def garbling_grid(spec: MarketSpec, num_points: int) -> list[GarblingReport]:
     """Diagnostic reports on a uniform ``D`` grid (inclusive endpoints)."""
     grid = np.linspace(0.0, float(spec.experiment.m), num_points)
-    return [report_at(spec, float(d)) for d in grid]
+    return _reports(spec, grid_diagnostics(spec, grid))

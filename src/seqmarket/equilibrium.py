@@ -204,6 +204,31 @@ def _gaps(c: float, p_L, p_H, interim):
     return interim * p_H * (1.0 - c) - (1.0 - interim) * p_L * c
 
 
+def _irrelevance_display(rho: float, c: float, lr, ratio, k):
+    """The adverse-selection irrelevance display as a signed margin:
+    prior odds times ``lr`` times ``ratio ** k`` minus the reservation odds.
+
+    ``lr`` is a signal's likelihood ratio (+inf for a revealing signal) and
+    ``ratio`` a rejection-odds ratio such as ``r_H / r_L``, formed by the
+    caller before the power: at large ``k`` the ratio's power may underflow
+    to 0 or overflow to +inf, where the powers of ``r_H`` and ``r_L`` would
+    both underflow and leave 0/0.  Where one factor is 0 and another +inf,
+    the signal's own ratio decides, then the prior; +inf against infinite
+    reservation odds (``c == 1``) is a tie, 0.  Broadcasts over its array
+    arguments; returns a float for scalar ones.
+    """
+    lr = np.asarray(lr, dtype=float)
+    with np.errstate(all="ignore"):
+        prior = np.divide(rho, 1.0 - rho)
+        product = prior * lr * np.asarray(ratio, dtype=float) ** k
+        if np.isnan(product).any():
+            decided = np.where((lr == 0.0) | (lr == np.inf), lr, prior)
+            product = np.where(np.isnan(product), decided, product)
+        margin = product - np.divide(c, 1.0 - c)
+    margin = np.where(np.isnan(margin), 0.0, margin)
+    return float(margin) if margin.ndim == 0 else margin
+
+
 def _acceptance_gaps(spec: MarketSpec, interim: float) -> np.ndarray:
     return _gaps(spec.c, spec.experiment.p_L_array(), spec.experiment.p_H_array(), interim)
 

@@ -33,8 +33,8 @@ GARBLING_FEASIBILITY_TOL = 1e-9
 class OddsRatio:
     """A nonnegative ratio ``num / den`` kept unreduced.
 
-    ``den == 0`` encodes +inf exactly; comparisons and products are done by
-    cross multiplication and never divide.
+    ``den == 0`` encodes +inf exactly; comparisons are done by cross
+    multiplication and never divide.
     """
 
     num: float
@@ -61,20 +61,8 @@ class OddsRatio:
             return OddsRatio(1.0, 0.0)
         return OddsRatio(v, 1.0)
 
-    def times(self, other: "OddsRatio") -> "OddsRatio":
-        return OddsRatio(self.num * other.num, self.den * other.den)
-
-    def pow(self, k: int) -> "OddsRatio":
-        if k < 0:
-            raise ValueError("negative powers are not used")
-        return OddsRatio(self.num**k, self.den**k)
-
     def as_float(self) -> float:
         return math.inf if self.den == 0.0 else self.num / self.den
-
-    def as_prob(self) -> float:
-        total = self.num + self.den
-        return self.num / total if total > 0.0 else math.nan
 
     # Cross-multiplied order; valid for nonnegative pairs that are not 0/0.
     def leq(self, other: "OddsRatio") -> bool:
@@ -82,12 +70,6 @@ class OddsRatio:
 
     def lt(self, other: "OddsRatio") -> bool:
         return self.num * other.den < other.num * self.den
-
-    def geq(self, other: "OddsRatio") -> bool:
-        return other.leq(self)
-
-    def gt(self, other: "OddsRatio") -> bool:
-        return other.lt(self)
 
 
 @dataclass(frozen=True)

@@ -54,16 +54,6 @@ class SimEstimate:
     interim_se: float | None = None
 
 
-@dataclass(frozen=True)
-class TracePoint:
-    """Cumulative estimates after one block, for convergence traces."""
-
-    trials_done: int
-    trade_prob_H: float
-    trade_prob_L: float
-    surplus: float
-
-
 def _block_rng(seed: int, block: int) -> Generator:
     key = ((block + 1) << 64) | (seed & ((1 << 64) - 1))
     return Generator(Philox(key=key))
@@ -83,20 +73,6 @@ def simulate(spec: MarketSpec, strategy: Strategy, config: SimConfig) -> SimEsti
     of High-quality trials among those where the focal buyer is reached
     before anyone accepts.
     """
-    estimate, _ = _run(spec, strategy, config, trace=False)
-    return estimate
-
-
-def simulate_with_trace(
-    spec: MarketSpec, strategy: Strategy, config: SimConfig
-) -> "tuple[SimEstimate, tuple[TracePoint, ...]]":
-    """As :func:`simulate`, also returning the per-block convergence trace."""
-    return _run(spec, strategy, config, trace=True)
-
-
-def _run(
-    spec: MarketSpec, strategy: Strategy, config: SimConfig, trace: bool
-) -> "tuple[SimEstimate, tuple[TracePoint, ...]]":
     if strategy.m != spec.experiment.m:
         raise LengthMismatch(
             f"strategy has {strategy.m} entries for an experiment with {spec.experiment.m} outcomes"
@@ -118,7 +94,6 @@ def _run(
     surplus_sq_sum = 0.0
     n_visited = 0
     n_visited_high = 0
-    trace_points: list[TracePoint] = []
 
     remaining = config.trials
     block = 0
@@ -161,17 +136,6 @@ def _run(
 
         remaining -= size
         block += 1
-        if trace:
-            done = config.trials - remaining
-            n_low_done = done - n_high
-            trace_points.append(
-                TracePoint(
-                    trials_done=done,
-                    trade_prob_H=n_trade_high / n_high if n_high else math.nan,
-                    trade_prob_L=n_trade_low / n_low_done if n_low_done else math.nan,
-                    surplus=surplus_sum / done,
-                )
-            )
 
     trials = config.trials
     n_low = trials - n_high
@@ -182,7 +146,7 @@ def _run(
     if trials > 1:
         var_surplus *= trials / (trials - 1)
 
-    estimate = SimEstimate(
+    return SimEstimate(
         trials=trials,
         trade_prob_H=n_trade_high / n_high if n_high else math.nan,
         trade_prob_H_se=_binomial_se(n_trade_high, n_high),
@@ -199,7 +163,6 @@ def _run(
         else None,
         interim_se=_binomial_se(n_visited_high, n_visited) if focal is not None else None,
     )
-    return estimate, tuple(trace_points)
 
 
 def estimate_interim(

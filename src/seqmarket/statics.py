@@ -15,6 +15,7 @@ from .equilibrium import (
     Equilibrium,
     MarketSpec,
     Strategy,
+    _irrelevance_display,
     benchmarks,
     enumerate_chains,
     # Unused here since the sweeps batch their markets, but kept importable
@@ -113,16 +114,14 @@ def _irrelevance_holds(
     probabilities.
 
     The rejection-odds ratio is taken as 1 when nobody is ever rejected,
-    matching the accept-all interim belief.  Compared cross-multiplied with a
-    small relative slack so a boundary case counts as irrelevant.
+    matching the accept-all interim belief.  The margin may fall short of 0
+    by a relative 1e-12 of the reservation odds, so a boundary case counts
+    as irrelevant.
     """
-    if spec.n == 1 or (r_L == 0.0 and r_H == 0.0):
-        ratio_num, ratio_den = 1.0, 1.0
-    else:
-        ratio_num, ratio_den = r_H ** (spec.n - 1), r_L ** (spec.n - 1)
-    lhs = spec.rho * ratio_num * lr.num * (1.0 - spec.c)
-    rhs = (1.0 - spec.rho) * ratio_den * lr.den * spec.c
-    return lhs >= rhs - 1e-12 * max(lhs, rhs, 1e-300)
+    ratio = 1.0 if r_L == 0.0 and r_H == 0.0 else OddsRatio(r_H, r_L).as_float()
+    margin = _irrelevance_display(spec.rho, spec.c, lr.as_float(), ratio, spec.n - 1)
+    slack = 1e-12 * spec.c / (1.0 - spec.c) if spec.c < 1.0 else 0.0
+    return margin >= -slack
 
 
 def irrelevance_check(spec: MarketSpec, strategy: Strategy, outcome_index: int) -> bool:
@@ -194,12 +193,10 @@ def sufficient_harm_check(
     ratio stay below the reservation odds, and so does the prior times that
     ratio to the ``n - 1`` composed with the spread's upper ratio.
     """
-    lr_j = spec.experiment.likelihood_ratio(index)
-    hi = OddsRatio.of(lr_high)
-    prior = OddsRatio.from_prob(spec.rho)
-    cost = OddsRatio.from_prob(spec.c)
-    first = prior.times(lr_j).leq(cost)
-    second = prior.times(lr_j.pow(spec.n - 1)).times(hi).leq(cost)
+    lr_j = spec.experiment.likelihood_ratio(index).as_float()
+    hi = OddsRatio.of(lr_high).as_float()
+    first = _irrelevance_display(spec.rho, spec.c, lr_j, 1.0, 0) <= 0.0
+    second = _irrelevance_display(spec.rho, spec.c, hi, lr_j, spec.n - 1) <= 0.0
     return first and second
 
 

@@ -189,6 +189,26 @@ class TestExitCodes:
         code = cli.main(["sweep-n", "--config", str(write_config(tmp_path, DEMO_DOC)), "--out", str(tmp_path)])
         assert code == 2
 
+    def _simulate_with(self, tmp_path, capsys, *flags: str) -> tuple[int, str]:
+        doc = json.loads(json.dumps(DEMO_DOC))
+        doc["simulate"] = {"trials": 1000, "seed": 1}
+        argv = ["simulate", "--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path)]
+        code = cli.main(argv + list(flags))
+        return code, capsys.readouterr().err
+
+    def test_negative_trials_flag_is_exit_two(self, tmp_path, capsys):
+        code, err = self._simulate_with(tmp_path, capsys, "--trials", "-5")
+        assert code == 2 and err.startswith("error:") and "trials" in err
+
+    def test_zero_trials_flag_is_exit_two(self, tmp_path, capsys):
+        code, err = self._simulate_with(tmp_path, capsys, "--trials", "0")
+        assert code == 2 and err.startswith("error:") and "trials" in err
+        assert not (tmp_path / "simulate.csv").exists()
+
+    def test_negative_seed_flag_is_exit_two(self, tmp_path, capsys):
+        code, err = self._simulate_with(tmp_path, capsys, "--seed", "-3")
+        assert code == 2 and err.startswith("error:") and "seed" in err
+
     def test_numerical_failure_is_exit_one(self, tmp_path, monkeypatch):
         def boom(spec):
             raise NoEquilibriumFound("forced for the exit-code contract")

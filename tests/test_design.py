@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+import seqmarket.cli as cli
 from conftest import random_market
 from seqmarket.design import (
     garbling_from_param,
@@ -51,6 +53,15 @@ class TestGarblingFromParam:
             garbling_from_param(demo_market().experiment, 2.5)
         with pytest.raises(ParamOutOfRange):
             garbling_from_param(demo_market().experiment, -0.1)
+
+    def test_full_acceptance_rejects_nothing_exactly(self):
+        # One minus the accept mass can leave a residue of about 1e-16 in
+        # each state, whose ratio the irrelevance margin would then read.
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            exp = random_market(rng, m_choices=(2, 3, 4, 5)).experiment
+            g = garbling_from_param(exp, float(exp.m))
+            assert (g.reject_L, g.reject_H) == (0.0, 0.0)
 
     def test_weight_parameter_is_recovered(self):
         exp = tight_market().experiment
@@ -209,3 +220,40 @@ class TestStructuralInvariants:
             assert report.obeyed_surplus == pytest.approx(
                 obeyed_surplus(spec, report.garbling), abs=1e-15
             )
+
+
+class TestLargeMarkets:
+    @pytest.mark.parametrize("market", [demo_market, tight_market])
+    def test_design_runs_at_five_thousand_buyers(self, tmp_path, market):
+        # The rejection masses to the 4999th power underflow to 0 in both
+        # states; the odds display must not divide them.
+        spec = market(5000)
+        doc = {
+            "schema_version": 1,
+            "market": {
+                "rho": spec.rho,
+                "c": spec.c,
+                "n": spec.n,
+                "experiment": [{"p_L": o.p_L, "p_H": o.p_H} for o in spec.experiment.outcomes],
+            },
+            "design": {"emit_grid": True, "grid_points": 401},
+        }
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["design", "--config", str(config), "--out", str(tmp_path)]) == 0
+        row = (tmp_path / "design.csv").read_text().splitlines()[1].split(",")
+        assert row[3] == "true"
+
+
+def test_optimum_is_ic_and_beats_every_ic_grid_point():
+    """What the benchmark checks of every design op, on 120 seeded markets:
+    the reported optimum is IC and no IC point of the 401-point grid has
+    obeyed surplus above it by more than 1e-9."""
+    rng = np.random.default_rng(90210)
+    for _ in range(120):
+        spec = random_market(rng, m_choices=(2, 3, 4, 5), n_range=(2, 50))
+        report = optimal_garbling(spec)
+        assert report.is_ic
+        grid = garbling_grid(spec, 401)
+        best = max(r.obeyed_surplus for r in grid if r.is_ic)
+        assert best <= report.obeyed_surplus + 1e-9, spec

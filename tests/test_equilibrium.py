@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from conftest import random_market
 from seqmarket.equilibrium import (
     MarketSpec,
+    _irrelevance_display,
     Strategy,
     benchmarks,
     best_response,
@@ -201,3 +204,19 @@ class TestBinaryStructure:
         psi = interim_from_rejections(spec.rho, r_l, r_h, spec.n)
         assert np.all(np.diff(psi) > -1e-15)
         assert psi[-1] > psi[0] + 1e-6
+
+
+def test_irrelevance_display_never_divides_zero_by_zero():
+    # 0.25 ** 4999 underflows to 0; the powers of 0.2 and 0.8 would leave 0/0.
+    assert _irrelevance_display(0.5, 0.2, 0.25, 0.25, 4999) == -0.25
+    assert _irrelevance_display(0.5, 0.2, 4.0, 4.0, 4999) == math.inf
+    # A revealing signal decides against an impossible history, and so does
+    # a degenerate prior against a zero ratio.
+    assert _irrelevance_display(0.5, 0.2, math.inf, 0.0, 3) == math.inf
+    assert _irrelevance_display(0.5, 0.2, 0.0, math.inf, 3) == -0.25
+    assert _irrelevance_display(1.0, 0.2, 2.0, 0.0, 2) == math.inf
+    # Infinite reservation odds: only a revealing signal reaches them, as a tie.
+    assert _irrelevance_display(0.5, 1.0, math.inf, 1.0, 1) == 0.0
+    assert _irrelevance_display(0.5, 1.0, 4.0, 1.0, 1) == -math.inf
+    margins = _irrelevance_display(0.5, 0.2, np.array([4.0, 1.0]), np.array([2.0, 0.5]), 2)
+    np.testing.assert_array_equal(margins, [15.75, 0.0])

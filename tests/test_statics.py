@@ -203,6 +203,14 @@ class TestSufficientHarm:
     def test_demo_high_outcome_fails_first_display(self):
         assert not sufficient_harm_check(demo_market(), 1, OddsRatio(9, 1))
 
+    @pytest.mark.parametrize("market", [demo_market, tight_market])
+    def test_five_thousand_buyers(self, market):
+        # lr_j ** 4999 underflows to 0 in numerator and denominator alike.
+        for index, hi in ((0, OddsRatio(4, 1)), (1, OddsRatio(9, 1))):
+            assert isinstance(sufficient_harm_check(market(5000), index, hi), bool)
+        assert sufficient_harm_check(tight_market(5000), 0, OddsRatio(4, 1))
+        assert not sufficient_harm_check(market(5000), 1, OddsRatio(9, 1))
+
     def test_reservation_value_one_is_always_harmful(self):
         spec = MarketSpec(0.5, 1.0, 2, demo_market().experiment)
         assert sufficient_harm_check(spec, 0, OddsRatio(1, 0))
