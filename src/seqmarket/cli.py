@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,123 +34,179 @@ from .scenarios import demo_market, revealing_market, tight_market
 from .statics import spread_surplus_delta, surplus_vs_n, sweep_binary
 
 SCHEMA_VERSION = 1
-COMMANDS = ("solve", "sweep-n", "sweep-binary", "spread", "design", "simulate", "repro")
-REPRO_FIXTURES = ("table1", "table2", "section8", "modified-example")
+SELECTORS = ("most", "least")
+
+
+def _key(kind: str, default=MISSING, **meta):
+    """A config key: its kind, its bounds (``lo``, ``hi``), ``choices`` or
+    ``section`` class, and its default.  A key without a default is
+    required; a key (not a section) whose default is None accepts null."""
+    return field(default=default, metadata={"kind": kind, **meta})
+
+
+@dataclass(frozen=True)
+class _OutcomeKeys:
+    p_L: float = _key("number", lo=0.0)
+    p_H: float = _key("number", lo=0.0)
+
+
+@dataclass(frozen=True)
+class _MarketKeys:
+    """The ``market`` section; ``parse_config`` turns it into a MarketSpec."""
+
+    rho: float = _key("number", lo=0.0, hi=1.0)
+    c: float = _key("number", lo=0.0, hi=1.0)
+    n: int = _key("int", lo=1)
+    experiment: "tuple[_OutcomeKeys, ...]" = _key("outcomes")
 
 
 @dataclass(frozen=True)
 class SweepNConfig:
-    n_max: int
+    n_max: int = _key("int", lo=1)
 
 
 @dataclass(frozen=True)
 class SweepBinaryConfig:
-    dimension: str
-    grid: tuple[float, ...]
-    selector: str = "most"
+    dimension: str = _key("choice", choices=("bad", "good"))
+    grid: tuple[float, ...] = _key("labels")
+    selector: str = _key("choice", "most", choices=SELECTORS)
 
 
 @dataclass(frozen=True)
 class SpreadConfig:
-    index: int
-    lr_low: tuple[float, float]
-    lr_high: tuple[float, float]
-    selector: str = "most"
+    index: int = _key("int", lo=0)
+    lr_low: tuple[float, float] = _key("odds")
+    lr_high: tuple[float, float] = _key("odds")
+    selector: str = _key("choice", "most", choices=SELECTORS)
 
 
 @dataclass(frozen=True)
 class DesignConfig:
-    emit_grid: bool = False
-    grid_points: int = 201
+    emit_grid: bool = _key("bool", False)
+    grid_points: int = _key("int", 201, lo=2)
 
 
 @dataclass(frozen=True)
 class SimulateConfig:
-    trials: int
-    seed: int
-    focal_buyer: int | None = None
-    strategy: "str | tuple[float, ...]" = "most"
+    trials: int = _key("int", lo=1)
+    # montecarlo keys its streams by the low 64 bits of the seed.
+    seed: int = _key("int", lo=0, hi=2**64 - 1)
+    focal_buyer: int | None = _key("int", None, lo=0)
+    strategy: "str | tuple[float, ...]" = _key("strategy", "most", choices=SELECTORS, lo=0.0, hi=1.0)
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    market: MarketSpec
-    sweep_n: SweepNConfig | None = None
-    sweep_binary: SweepBinaryConfig | None = None
-    spread: SpreadConfig | None = None
-    design: DesignConfig = field(default_factory=DesignConfig)
-    simulate: SimulateConfig | None = None
+    market: MarketSpec = _key("section", section=_MarketKeys)
+    sweep_n: SweepNConfig | None = _key("section", None, section=SweepNConfig)
+    sweep_binary: SweepBinaryConfig | None = _key("section", None, section=SweepBinaryConfig)
+    spread: SpreadConfig | None = _key("section", None, section=SpreadConfig)
+    design: DesignConfig = _key("section", DesignConfig(), section=DesignConfig)
+    simulate: SimulateConfig | None = _key("section", None, section=SimulateConfig)
 
 
-def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
-    unknown = set(obj) - allowed
+_SECTIONS = {key.name: key.metadata["section"] for key in fields(RunConfig)}
+
+# The flags and their help, each named after the section key it overrides; a
+# command takes those whose key its section has.
+FLAGS = {"selector": None, "grid": "override grid as start:stop:count", "trials": None, "seed": None}
+
+
+def _check_names(obj: dict, keys: tuple, where: str, extra: "set[str] | frozenset[str]" = frozenset()) -> None:
+    """Rejects unknown keys, then missing ones; ``extra`` keys are required too."""
+    names = {key.name for key in keys}
+    unknown = set(obj) - names - extra
     if unknown:
         raise ValidationError(f"{where}: unknown key(s) {sorted(unknown)}")
-    missing = required - set(obj)
+    required = {key.name for key in keys if key.default is MISSING}
+    missing = (required | extra) - set(obj)
     if missing:
         raise ValidationError(f"{where}: missing key(s) {sorted(missing)}")
 
 
-def _number(obj: dict, key: str, where: str, lo: float | None = None, hi: float | None = None) -> float:
-    value = obj[key]
+def _number(value, where: str, lo: float | None = None, hi: float | None = None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{where}.{key}: expected a number, got {value!r}")
-    v = float(value)
-    if lo is not None and v < lo or hi is not None and v > hi:
-        raise ValidationError(f"{where}.{key}: {v} outside [{lo}, {hi}]")
+        raise ValidationError(f"{where}: expected a number, got {value!r}")
+    try:
+        v = float(value)
+    except OverflowError:  # an integer beyond the float range
+        v = math.inf if value > 0 else -math.inf
+    bounded = lo is not None or hi is not None
+    if bounded and not (-math.inf if lo is None else lo) <= v <= (math.inf if hi is None else hi):
+        raise ValidationError(f"{where}: {v} outside [{lo}, {hi}]")
+    if not math.isfinite(v):
+        raise ValidationError(f"{where}: expected a finite number, got {v}")
     return v
 
 
-def _integer(obj: dict, key: str, where: str, lo: int | None = None) -> int:
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{where}.{key}: expected an integer, got {value!r}")
-    if lo is not None and value < lo:
-        raise ValidationError(f"{where}.{key}: {value} below minimum {lo}")
-    return value
+def _value(key, value, where: str):
+    """``value`` checked against the config key ``key`` (a dataclass field)."""
+    kind, meta = key.metadata["kind"], key.metadata
+    lo, hi, choices = meta.get("lo"), meta.get("hi"), meta.get("choices")
+    if kind == "section":
+        return _read_section(meta["section"], value, where)
+    if value is None and key.default is None:
+        return None
+    if kind == "number":
+        return _number(value, where, lo, hi)
+    if kind == "int":
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValidationError(f"{where}: expected an integer, got {value!r}")
+        if lo is not None and value < lo:
+            raise ValidationError(f"{where}: {value} below minimum {lo}")
+        if hi is not None and value > hi:
+            raise ValidationError(f"{where}: {value} above maximum {hi}")
+        return value
+    if kind == "bool":
+        if not isinstance(value, bool):
+            raise ValidationError(f"{where}: expected a boolean, got {value!r}")
+        return value
+    if kind == "choice":
+        if value not in choices:
+            raise ValidationError(f"{where}: expected {' or '.join(map(repr, choices))}, got {value!r}")
+        return value
+    if kind == "labels":
+        if not isinstance(value, list) or not value:
+            raise ValidationError(f"{where}: expected a nonempty array of labels")
+        return tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(value))
+    if kind == "odds":
+        parts = value if isinstance(value, list) and len(value) == 2 else [value, 1.0]
+        try:
+            return tuple(_number(x, where) for x in parts)
+        except ValidationError:
+            raise ValidationError(f"{where}: expected a number or a [num, den] pair, got {value!r}") from None
+    if kind == "strategy":
+        if isinstance(value, str):
+            if value not in choices:
+                names = ", ".join(map(repr, choices))
+                raise ValidationError(f"{where}: expected {names}, or an array, got {value!r}")
+            return value
+        if isinstance(value, list):
+            return tuple(_number(a, f"{where}[{i}]", lo, hi) for i, a in enumerate(value))
+        raise ValidationError(f"{where}: unsupported value {value!r}")
+    # kind == "outcomes"
+    if not isinstance(value, list) or not value:
+        raise ValidationError(f"{where}: expected a nonempty array")
+    entry = "an object with p_L and p_H"
+    return tuple(_read_section(_OutcomeKeys, obj, f"{where}[{i}]", entry) for i, obj in enumerate(value))
 
 
-def _odds_pair(value, where: str) -> tuple[float, float]:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return (float(value), 1.0)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
-    ):
-        return (float(value[0]), float(value[1]))
-    raise ValidationError(f"{where}: expected a number or a [num, den] pair, got {value!r}")
-
-
-def _parse_market(obj, where: str = "market") -> MarketSpec:
+def _read_section(cls: type, obj, where: str, what: str = "an object"):
+    """The section ``obj`` as a ``cls``, every key checked against its field."""
     if not isinstance(obj, dict):
-        raise ValidationError(f"{where}: expected an object")
-    _require_keys(obj, {"rho", "c", "n", "experiment"}, {"rho", "c", "n", "experiment"}, where)
-    rho = _number(obj, "rho", where, 0.0, 1.0)
-    c = _number(obj, "c", where, 0.0, 1.0)
-    n = _integer(obj, "n", where, 1)
-    exp_obj = obj["experiment"]
-    if not isinstance(exp_obj, list) or not exp_obj:
-        raise ValidationError(f"{where}.experiment: expected a nonempty array")
-    pairs = []
-    for i, entry in enumerate(exp_obj):
-        entry_where = f"{where}.experiment[{i}]"
-        if not isinstance(entry, dict):
-            raise ValidationError(f"{entry_where}: expected an object with p_L and p_H")
-        _require_keys(entry, {"p_L", "p_H"}, {"p_L", "p_H"}, entry_where)
-        pairs.append((_number(entry, "p_L", entry_where, 0.0), _number(entry, "p_H", entry_where, 0.0)))
+        raise ValidationError(f"{where}: expected {what}")
+    keys = fields(cls)
+    _check_names(obj, keys, where)
+    return cls(**{key.name: _value(key, obj[key.name], f"{where}.{key.name}") for key in keys if key.name in obj})
+
+
+def _parse_market(keys: _MarketKeys) -> MarketSpec:
+    """The market section as a MarketSpec, its experiment built from the outcomes."""
     try:
-        experiment = build_experiment(pairs)
-        return MarketSpec(rho, c, n, experiment)
+        experiment = build_experiment([(o.p_L, o.p_H) for o in keys.experiment])
+        return MarketSpec(keys.rho, keys.c, keys.n, experiment)
     except MarketModelError as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
-
-
-def _parse_selector(obj: dict, where: str) -> str:
-    selector = obj.get("selector", "most")
-    if selector not in ("most", "least"):
-        raise ValidationError(f"{where}.selector: expected 'most' or 'least', got {selector!r}")
-    return selector
+        raise ValidationError(f"market: {exc}") from exc
 
 
 def parse_config(text: str) -> RunConfig:
@@ -160,137 +217,40 @@ def parse_config(text: str) -> RunConfig:
         raise SchemaError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("config root must be a JSON object")
-    allowed = {"schema_version", "market", "solve", "sweep_n", "sweep_binary", "spread", "design", "simulate"}
-    _require_keys(doc, allowed, {"schema_version", "market"}, "config")
+    _check_names(doc, fields(RunConfig), "config", {"schema_version"})
     if doc["schema_version"] != SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema_version {doc['schema_version']!r}; this tool reads {SCHEMA_VERSION}")
-    market = _parse_market(doc["market"])
+    sections = {key.name: _value(key, doc[key.name], key.name) for key in fields(RunConfig) if key.name in doc}
+    market = sections["market"] = _parse_market(sections["market"])
+    strategy = sections["simulate"].strategy if "simulate" in sections else "most"
+    if not isinstance(strategy, str) and len(strategy) != market.experiment.m:
+        raise ValidationError(f"simulate.strategy: has {len(strategy)} entries for {market.experiment.m} outcomes")
+    return RunConfig(**sections)
 
-    sweep_n = None
-    if "sweep_n" in doc:
-        obj = doc["sweep_n"]
-        _require_keys(obj, {"n_max"}, {"n_max"}, "sweep_n")
-        sweep_n = SweepNConfig(n_max=_integer(obj, "n_max", "sweep_n", 1))
 
-    sweep_bin = None
-    if "sweep_binary" in doc:
-        obj = doc["sweep_binary"]
-        _require_keys(obj, {"dimension", "grid", "selector"}, {"dimension", "grid"}, "sweep_binary")
-        dimension = obj["dimension"]
-        if dimension not in ("bad", "good"):
-            raise ValidationError(f"sweep_binary.dimension: expected 'bad' or 'good', got {dimension!r}")
-        grid_obj = obj["grid"]
-        if not isinstance(grid_obj, list) or not grid_obj:
-            raise ValidationError("sweep_binary.grid: expected a nonempty array of labels")
-        grid = tuple(
-            _number({"g": g}, "g", f"sweep_binary.grid[{i}]") for i, g in enumerate(grid_obj)
-        )
-        sweep_bin = SweepBinaryConfig(dimension, grid, _parse_selector(obj, "sweep_binary"))
-
-    spread = None
-    if "spread" in doc:
-        obj = doc["spread"]
-        _require_keys(obj, {"index", "lr_low", "lr_high", "selector"}, {"index", "lr_low", "lr_high"}, "spread")
-        spread = SpreadConfig(
-            index=_integer(obj, "index", "spread", 0),
-            lr_low=_odds_pair(obj["lr_low"], "spread.lr_low"),
-            lr_high=_odds_pair(obj["lr_high"], "spread.lr_high"),
-            selector=_parse_selector(obj, "spread"),
-        )
-
-    design = DesignConfig()
-    if "design" in doc:
-        obj = doc["design"]
-        _require_keys(obj, {"emit_grid", "grid_points"}, set(), "design")
-        emit = obj.get("emit_grid", False)
-        if not isinstance(emit, bool):
-            raise ValidationError(f"design.emit_grid: expected a boolean, got {emit!r}")
-        points = obj.get("grid_points", 201)
-        if isinstance(points, bool) or not isinstance(points, int) or points < 2:
-            raise ValidationError(f"design.grid_points: expected an integer >= 2, got {points!r}")
-        design = DesignConfig(emit_grid=emit, grid_points=points)
-
-    simulate = None
-    if "simulate" in doc:
-        obj = doc["simulate"]
-        _require_keys(obj, {"trials", "seed", "focal_buyer", "strategy"}, {"trials", "seed"}, "simulate")
-        focal = obj.get("focal_buyer")
-        if focal is not None:
-            focal = _integer(obj, "focal_buyer", "simulate", 0)
-        strategy_obj = obj.get("strategy", "most")
-        strategy: str | tuple[float, ...]
-        if isinstance(strategy_obj, str):
-            if strategy_obj not in ("most", "least"):
-                raise ValidationError(
-                    f"simulate.strategy: expected 'most', 'least', or an array, got {strategy_obj!r}"
-                )
-            strategy = strategy_obj
-        elif isinstance(strategy_obj, list):
-            strategy = tuple(
-                _number({"a": a}, "a", f"simulate.strategy[{i}]", 0.0, 1.0)
-                for i, a in enumerate(strategy_obj)
-            )
-            if len(strategy) != market.experiment.m:
-                raise ValidationError(
-                    f"simulate.strategy: has {len(strategy)} entries for {market.experiment.m} outcomes"
-                )
-        else:
-            raise ValidationError(f"simulate.strategy: unsupported value {strategy_obj!r}")
-        simulate = SimulateConfig(
-            trials=_integer(obj, "trials", "simulate", 1),
-            seed=_integer(obj, "seed", "simulate", 0),
-            focal_buyer=focal,
-            strategy=strategy,
-        )
-
-    return RunConfig(market, sweep_n, sweep_bin, spread, design, simulate)
+def _json(cls: type, obj) -> dict:
+    """``obj`` as JSON values keyed as in ``cls``; sections left unset are omitted."""
+    doc = {}
+    for key in fields(cls):
+        value, kind = getattr(obj, key.name), key.metadata["kind"]
+        if kind == "section" and value is None:
+            continue
+        if kind == "section":
+            value = _json(key.metadata["section"], value)
+        elif kind == "outcomes":
+            value = [_json(_OutcomeKeys, o) for o in value.outcomes]
+        doc[key.name] = list(value) if isinstance(value, tuple) else value
+    return doc
 
 
 def serialize_config(config: RunConfig) -> str:
     """Canonical JSON for a RunConfig; reparses to an equal config."""
-    doc: dict = {
-        "schema_version": SCHEMA_VERSION,
-        "market": {
-            "rho": config.market.rho,
-            "c": config.market.c,
-            "n": config.market.n,
-            "experiment": [
-                {"p_L": o.p_L, "p_H": o.p_H} for o in config.market.experiment.outcomes
-            ],
-        },
-    }
-    if config.sweep_n is not None:
-        doc["sweep_n"] = {"n_max": config.sweep_n.n_max}
-    if config.sweep_binary is not None:
-        doc["sweep_binary"] = {
-            "dimension": config.sweep_binary.dimension,
-            "grid": list(config.sweep_binary.grid),
-            "selector": config.sweep_binary.selector,
-        }
-    if config.spread is not None:
-        doc["spread"] = {
-            "index": config.spread.index,
-            "lr_low": list(config.spread.lr_low),
-            "lr_high": list(config.spread.lr_high),
-            "selector": config.spread.selector,
-        }
-    doc["design"] = {
-        "emit_grid": config.design.emit_grid,
-        "grid_points": config.design.grid_points,
-    }
-    if config.simulate is not None:
-        doc["simulate"] = {
-            "trials": config.simulate.trials,
-            "seed": config.simulate.seed,
-            "focal_buyer": config.simulate.focal_buyer,
-            "strategy": config.simulate.strategy
-            if isinstance(config.simulate.strategy, str)
-            else list(config.simulate.strategy),
-        }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps({"schema_version": SCHEMA_VERSION, **_json(RunConfig, config)}, indent=2, sort_keys=True)
 
 
 def _fmt(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -300,10 +260,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: "list[str]", rows: "list[list]") -> None:
+def _write_csv(out: Path, name: str, header: "list[str]", rows: "list[list]") -> list[Path]:
+    """Writes ``out/name.csv``; returns its path in a list."""
+    path = out / f"{name}.csv"
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return [path]
 
 
 def _equilibrium_row(eq: Equilibrium) -> list:
@@ -315,17 +278,12 @@ EQUILIBRIUM_HEADER = ["cutoff_index", "mixing_prob", "interim", "r_L", "r_H", "s
 
 def _cmd_solve(config: RunConfig, out: Path) -> list[Path]:
     chain = enumerate_equilibria(config.market)
-    path = out / "solve.csv"
-    _write_csv(path, EQUILIBRIUM_HEADER, [_equilibrium_row(eq) for eq in chain])
-    return [path]
+    return _write_csv(out, "solve", EQUILIBRIUM_HEADER, [_equilibrium_row(eq) for eq in chain])
 
 
 def _cmd_sweep_n(config: RunConfig, out: Path) -> list[Path]:
-    if config.sweep_n is None:
-        raise ValidationError("config has no sweep_n section")
     result = surplus_vs_n(config.market, config.sweep_n.n_max)
     bench = benchmarks(config.market)
-    cutover = result.eventual_monotone_from
     rows = [
         [
             p.n,
@@ -335,13 +293,13 @@ def _cmd_sweep_n(config: RunConfig, out: Path) -> list[Path]:
             bench.full_info,
             result.limit_class.value,
             result.predicted_limit,
-            "" if cutover is None else cutover,
+            result.eventual_monotone_from,
         ]
         for p in result.records
     ]
-    path = out / "sweep_n.csv"
-    _write_csv(
-        path,
+    return _write_csv(
+        out,
+        "sweep_n",
         [
             "n",
             "most_selective_surplus",
@@ -354,12 +312,9 @@ def _cmd_sweep_n(config: RunConfig, out: Path) -> list[Path]:
         ],
         rows,
     )
-    return [path]
 
 
 def _cmd_sweep_binary(config: RunConfig, out: Path) -> list[Path]:
-    if config.sweep_binary is None:
-        raise ValidationError("config has no sweep_binary section")
     cfg = config.sweep_binary
     curve = sweep_binary(config.market, cfg.dimension, list(cfg.grid), cfg.selector)
     bench = benchmarks(config.market)
@@ -380,18 +335,15 @@ def _cmd_sweep_binary(config: RunConfig, out: Path) -> list[Path]:
         ]
         for p in curve.points
     ]
-    path = out / "sweep_binary.csv"
-    _write_csv(
-        path,
+    return _write_csv(
+        out,
+        "sweep_binary",
         ["dimension", "s_L", "s_H", "rho", "c", "n", "selector", "cutoff_index", "mixing_prob", "surplus", "no_info", "full_info"],
         rows,
     )
-    return [path]
 
 
 def _cmd_spread(config: RunConfig, out: Path) -> list[Path]:
-    if config.spread is None:
-        raise ValidationError("config has no spread section")
     cfg = config.spread
     params = LocalSpreadParams(
         index=cfg.index,
@@ -399,15 +351,15 @@ def _cmd_spread(config: RunConfig, out: Path) -> list[Path]:
         lr_high=OddsRatio(*cfg.lr_high),
     )
     result = spread_surplus_delta(config.market, params, cfg.selector)
-    path = out / "spread.csv"
-    _write_csv(
-        path,
+    return _write_csv(
+        out,
+        "spread",
         ["index", "lr_low", "lr_high", "selector", "override", "predicted_sign", "surplus_before", "surplus_after", "delta"],
         [
             [
                 cfg.index,
-                OddsRatio(*cfg.lr_low).as_float(),
-                OddsRatio(*cfg.lr_high).as_float(),
+                params.lr_low.as_float(),
+                params.lr_high.as_float(),
                 cfg.selector,
                 result.override.value,
                 result.predicted_sign.value,
@@ -417,7 +369,6 @@ def _cmd_spread(config: RunConfig, out: Path) -> list[Path]:
             ]
         ],
     )
-    return [path]
 
 
 DESIGN_HEADER = ["D", "threshold_label", "mixing_weight", "is_ic", "is_irrelevant", "F", "obeyed_surplus"]
@@ -437,19 +388,14 @@ def _design_row(report: design_mod.GarblingReport) -> list:
 
 def _cmd_design(config: RunConfig, out: Path) -> list[Path]:
     report = design_mod.optimal_garbling(config.market)
-    paths = [out / "design.csv"]
-    _write_csv(paths[0], DESIGN_HEADER, [_design_row(report)])
+    paths = _write_csv(out, "design", DESIGN_HEADER, [_design_row(report)])
     if config.design.emit_grid:
-        grid_path = out / "design_grid.csv"
         reports = design_mod.garbling_grid(config.market, config.design.grid_points)
-        _write_csv(grid_path, DESIGN_HEADER, [_design_row(r) for r in reports])
-        paths.append(grid_path)
+        paths += _write_csv(out, "design_grid", DESIGN_HEADER, [_design_row(r) for r in reports])
     return paths
 
 
 def _cmd_simulate(config: RunConfig, out: Path) -> list[Path]:
-    if config.simulate is None:
-        raise ValidationError("config has no simulate section")
     cfg = config.simulate
     if isinstance(cfg.strategy, str):
         strategy = select_equilibrium(config.market, cfg.strategy).strategy
@@ -460,65 +406,27 @@ def _cmd_simulate(config: RunConfig, out: Path) -> list[Path]:
         strategy,
         montecarlo.SimConfig(trials=cfg.trials, seed=cfg.seed, focal_buyer=cfg.focal_buyer),
     )
-    row = [
-        cfg.trials,
-        cfg.seed,
-        est.trade_prob_H,
-        est.trade_prob_H_se,
-        est.trade_prob_L,
-        est.trade_prob_L_se,
-        est.surplus,
-        est.surplus_se,
-        est.prob_H_given_trade,
-        est.prob_H_given_trade_se,
-        est.prob_H_given_no_trade,
-        est.prob_H_given_no_trade_se,
-        "" if est.interim_estimate is None else est.interim_estimate,
-        "" if est.interim_se is None else est.interim_se,
-    ]
-    path = out / "simulate.csv"
-    _write_csv(
-        path,
-        [
-            "trials",
-            "seed",
-            "trade_prob_H",
-            "trade_prob_H_se",
-            "trade_prob_L",
-            "trade_prob_L_se",
-            "surplus",
-            "surplus_se",
-            "prob_H_given_trade",
-            "prob_H_given_trade_se",
-            "prob_H_given_no_trade",
-            "prob_H_given_no_trade_se",
-            "interim_estimate",
-            "interim_se",
-        ],
-        [row],
-    )
-    return [path]
+    names = [f.name for f in fields(est) if f.name != "trials"]
+    row = [cfg.trials, cfg.seed, *(getattr(est, name) for name in names)]
+    return _write_csv(out, "simulate", ["trials", "seed", *names], [row])
 
 
 def _repro_table1(out: Path) -> list[Path]:
     spec = demo_market()
     chain = enumerate_equilibria(spec)
-    rows = []
-    for name, eq in (("least_selective", chain[-1]), ("most_selective", chain[0])):
-        low, high = spec.experiment.outcomes
-        rows.append(
-            [
-                name,
-                eq.strategy.accept[0],
-                eq.strategy.accept[1],
-                eq.interim,
-                posterior(eq.interim, high),
-                posterior(eq.interim, low),
-            ]
-        )
-    path = out / "table1.csv"
-    _write_csv(path, ["equilibrium", "accept_low", "accept_high", "interim", "posterior_high", "posterior_low"], rows)
-    return [path]
+    low, high = spec.experiment.outcomes
+    rows = [
+        [
+            name,
+            eq.strategy.accept[0],
+            eq.strategy.accept[1],
+            eq.interim,
+            posterior(eq.interim, high),
+            posterior(eq.interim, low),
+        ]
+        for name, eq in (("least_selective", chain[-1]), ("most_selective", chain[0]))
+    ]
+    return _write_csv(out, "table1", ["equilibrium", "accept_low", "accept_high", "interim", "posterior_high", "posterior_low"], rows)
 
 
 def _repro_table2(out: Path) -> list[Path]:
@@ -532,9 +440,7 @@ def _repro_table2(out: Path) -> list[Path]:
         ["trade_prob_L", trade_all, 1.0 - least.r_L**spec.n, 1.0 - most.r_L**spec.n, 0.0],
         ["total_surplus", bench.no_info, least.surplus, most.surplus, bench.full_info],
     ]
-    path = out / "table2.csv"
-    _write_csv(path, ["quantity", "no_info", "least_selective", "most_selective", "full_info"], rows)
-    return [path]
+    return _write_csv(out, "table2", ["quantity", "no_info", "least_selective", "most_selective", "full_info"], rows)
 
 
 def _repro_section8(out: Path) -> list[Path]:
@@ -568,9 +474,9 @@ def _repro_section8(out: Path) -> list[Path]:
                 p_h_no,
             ]
         )
-    path = out / "section8.csv"
-    _write_csv(
-        path,
+    return _write_csv(
+        out,
+        "section8",
         [
             "n",
             "cutoff_index",
@@ -588,28 +494,36 @@ def _repro_section8(out: Path) -> list[Path]:
         ],
         rows,
     )
-    return [path]
 
 
 def _repro_modified_example(out: Path) -> list[Path]:
-    rows = []
     chains = enumerate_chains([revealing_market(n) for n in range(1, 51)])
-    for n, chain in enumerate(chains, 1):
-        closed_form = 0.4 * (1.0 - 0.25**n)
-        rows.append([n, chain[0].surplus, chain[-1].surplus, closed_form])
-    path = out / "modified_example.csv"
-    _write_csv(path, ["n", "most_selective_surplus", "least_selective_surplus", "closed_form_most"], rows)
-    return [path]
+    rows = [[n, chain[0].surplus, chain[-1].surplus, 0.4 * (1.0 - 0.25**n)] for n, chain in enumerate(chains, 1)]
+    return _write_csv(out, "modified_example", ["n", "most_selective_surplus", "least_selective_surplus", "closed_form_most"], rows)
 
 
-def _cmd_repro(fixture: str, out: Path) -> list[Path]:
-    dispatch = {
-        "table1": _repro_table1,
-        "table2": _repro_table2,
-        "section8": _repro_section8,
-        "modified-example": _repro_modified_example,
-    }
-    return dispatch[fixture](out)
+REPRO_FIXTURES = {
+    "table1": _repro_table1,
+    "table2": _repro_table2,
+    "section8": _repro_section8,
+    "modified-example": _repro_modified_example,
+}
+# command -> the config section it reads (None: the market alone) and its handler
+COMMANDS = {
+    "solve": (None, _cmd_solve),
+    "sweep-n": ("sweep_n", _cmd_sweep_n),
+    "sweep-binary": ("sweep_binary", _cmd_sweep_binary),
+    "spread": ("spread", _cmd_spread),
+    "design": ("design", _cmd_design),
+    "simulate": ("simulate", _cmd_simulate),
+}
+
+
+def _flag_keys(command: str) -> list:
+    """The keys of ``command``'s section that a flag can override."""
+    section = COMMANDS[command][0]
+    keys = fields(_SECTIONS[section]) if section else ()
+    return [key for key in keys if key.name in FLAGS]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -619,24 +533,21 @@ def _build_parser() -> argparse.ArgumentParser:
         "simulation for sequential-visit trading markets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in (*COMMANDS, "repro"):
         p = sub.add_parser(name)
         p.add_argument("--out", type=Path, default=Path("."), help="output directory for CSVs")
         if name == "repro":
-            p.add_argument("fixture", choices=REPRO_FIXTURES)
+            p.add_argument("fixture", choices=tuple(REPRO_FIXTURES))
             continue
         p.add_argument("--config", type=Path, required=True, help="JSON config path")
-        if name in ("sweep-binary", "spread"):
-            p.add_argument("--selector", choices=("most", "least"))
-        if name == "sweep-binary":
-            p.add_argument("--grid", help="override grid as start:stop:count")
-        if name == "simulate":
-            p.add_argument("--trials", type=int)
-            p.add_argument("--seed", type=int)
+        for key in _flag_keys(name):
+            kind = key.metadata["kind"]
+            options = {"choice": {"choices": key.metadata.get("choices")}, "int": {"type": int}}.get(kind, {})
+            p.add_argument(f"--{key.name}", help=FLAGS[key.name], **options)
     return parser
 
 
-def _parse_grid_flag(text: str) -> tuple[float, ...]:
+def _parse_grid_flag(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValidationError(f"--grid expects start:stop:count, got {text!r}")
@@ -646,61 +557,46 @@ def _parse_grid_flag(text: str) -> tuple[float, ...]:
         raise ValidationError(f"--grid expects numbers, got {text!r}") from exc
     if count < 1:
         raise ValidationError(f"--grid count must be positive, got {count}")
-    return tuple(float(x) for x in np.linspace(start, stop, count))
+    return [float(x) for x in np.linspace(start, stop, count)]
 
 
 def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
     """The config with the command's flags applied; a flag is held to the
     bounds of the config key it replaces."""
-    flags = {key: value for key, value in vars(args).items() if value is not None}
-    for key, lo in (("trials", 1), ("seed", 0)):
-        if flags.get(key, lo) < lo:
-            raise ValidationError(f"--{key}: {flags[key]} below minimum {lo}")
-    sweep_bin, spread, simulate = config.sweep_binary, config.spread, config.simulate
-    if sweep_bin is not None:
-        grid = _parse_grid_flag(flags["grid"]) if "grid" in flags else sweep_bin.grid
-        sweep_bin = replace(sweep_bin, grid=grid, selector=flags.get("selector", sweep_bin.selector))
-    if spread is not None:
-        spread = replace(spread, selector=flags.get("selector", spread.selector))
-    if simulate is not None:
-        simulate = replace(
-            simulate, trials=flags.get("trials", simulate.trials), seed=flags.get("seed", simulate.seed)
-        )
-    return replace(config, sweep_binary=sweep_bin, spread=spread, simulate=simulate)
+    overrides = {}
+    for key in _flag_keys(args.command):
+        value = getattr(args, key.name)
+        if value is not None:
+            value = _parse_grid_flag(value) if key.name == "grid" else value
+            overrides[key.name] = _value(key, value, f"--{key.name}")
+    name = COMMANDS[args.command][0]
+    if not overrides or getattr(config, name) is None:
+        return config
+    return replace(config, **{name: replace(getattr(config, name), **overrides)})
 
 
 def run(command: str, config: RunConfig, out: Path) -> list[Path]:
     """Execute one command against a parsed config; returns written paths."""
     out.mkdir(parents=True, exist_ok=True)
-    dispatch = {
-        "solve": _cmd_solve,
-        "sweep-n": _cmd_sweep_n,
-        "sweep-binary": _cmd_sweep_binary,
-        "spread": _cmd_spread,
-        "design": _cmd_design,
-        "simulate": _cmd_simulate,
-    }
-    return dispatch[command](config, out)
+    section, handler = COMMANDS[command]
+    if section is not None and getattr(config, section) is None:
+        raise ValidationError(f"config has no {section} section")
+    return handler(config, out)
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "repro":
             args.out.mkdir(parents=True, exist_ok=True)
-            paths = _cmd_repro(args.fixture, args.out)
+            paths = REPRO_FIXTURES[args.fixture](args.out)
         else:
             try:
                 text = args.config.read_text(encoding="utf-8")
             except OSError as exc:
-                print(f"error: cannot read config: {exc}", file=sys.stderr)
-                return 2
+                raise ValidationError(f"cannot read config: {exc}") from exc
             config = _apply_overrides(parse_config(text), args)
             paths = run(args.command, config, args.out)
-    except (SchemaError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except MarketModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

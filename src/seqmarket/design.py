@@ -276,8 +276,12 @@ def max_irrelevant_param(spec: MarketSpec) -> float:
         if left[seg - 1] < 0.0:
             continue
         lo, hi = float(seg - 1), float(seg)
+        # Once the midpoint repeats an end, lo can no longer move; the cap
+        # stops the long descent through the dense floats near 0.
         for _ in range(80):
             mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
             if grid_diagnostics(spec, [mid])["finite_margin"][0] >= 0.0:
                 lo = mid
             else:

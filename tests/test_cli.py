@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -262,3 +263,189 @@ class TestRepro:
         for line in lines:
             _, most, _, closed = line.split(",")
             assert float(most) == pytest.approx(float(closed), abs=1e-12)
+
+
+def _doc(market: "dict | None" = None, **sections) -> dict:
+    doc = json.loads(json.dumps(DEMO_DOC))
+    doc["market"].update(market or {})
+    doc.update(sections)
+    return doc
+
+
+_SWEEP_BINARY = {"dimension": "bad", "grid": [0.5, 0.4]}
+_SPREAD = {"index": 1, "lr_low": 0.25, "lr_high": [9, 1]}
+_SIMULATE = {"trials": 100, "seed": 1}
+_NAN, _INF = float("nan"), float("inf")
+
+# (id, command, config document or raw text, flags, the exact last stderr line)
+INVALID_INPUTS = [
+    ("bad_json", "solve", "{not json", [],
+     "error: config is not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("root_not_object", "solve", "[]", [], "error: config root must be a JSON object"),
+    ("unknown_top_key", "solve", _doc(bogus=1), [], "error: config: unknown key(s) ['bogus']"),
+    ("solve_section", "solve", _doc(solve={}), [], "error: config: unknown key(s) ['solve']"),
+    ("missing_market", "solve", {"schema_version": 1}, [], "error: config: missing key(s) ['market']"),
+    ("missing_version", "solve", {"market": DEMO_DOC["market"]}, [],
+     "error: config: missing key(s) ['schema_version']"),
+    ("schema_version", "solve", _doc(schema_version=99), [], "error: unsupported schema_version 99; this tool reads 1"),
+    ("market_null", "solve", {"schema_version": 1, "market": None}, [], "error: market: expected an object"),
+    ("market_unknown", "solve", _doc({"extra": 1}), [], "error: market: unknown key(s) ['extra']"),
+    ("market_missing", "solve", {"schema_version": 1, "market": {"rho": 0.5, "c": 0.2, "experiment": []}}, [],
+     "error: market: missing key(s) ['n']"),
+    ("rho_string", "solve", _doc({"rho": "x"}), [], "error: market.rho: expected a number, got 'x'"),
+    ("rho_bool", "solve", _doc({"rho": True}), [], "error: market.rho: expected a number, got True"),
+    ("rho_above", "solve", _doc({"rho": 1.2}), [], "error: market.rho: 1.2 outside [0.0, 1.0]"),
+    ("rho_nan", "solve", _doc({"rho": _NAN}), [], "error: market.rho: nan outside [0.0, 1.0]"),
+    ("rho_huge_integer", "solve", json.dumps(_doc({"rho": 0})).replace('"rho": 0', '"rho": 1' + "0" * 400), [],
+     "error: market.rho: inf outside [0.0, 1.0]"),
+    ("c_below", "solve", _doc({"c": -0.1}), [], "error: market.c: -0.1 outside [0.0, 1.0]"),
+    ("c_nan", "solve", _doc({"c": _NAN}), [], "error: market.c: nan outside [0.0, 1.0]"),
+    ("c_inf", "solve", _doc({"c": _INF}), [], "error: market.c: inf outside [0.0, 1.0]"),
+    ("n_float", "solve", _doc({"n": 2.5}), [], "error: market.n: expected an integer, got 2.5"),
+    ("n_zero", "solve", _doc({"n": 0}), [], "error: market.n: 0 below minimum 1"),
+    ("experiment_empty", "solve", _doc({"experiment": []}), [], "error: market.experiment: expected a nonempty array"),
+    ("experiment_object", "solve", _doc({"experiment": {}}), [], "error: market.experiment: expected a nonempty array"),
+    ("outcome_number", "solve", _doc({"experiment": [1, 2]}), [],
+     "error: market.experiment[0]: expected an object with p_L and p_H"),
+    ("outcome_missing", "solve", _doc({"experiment": [{"p_L": 1.0}]}), [],
+     "error: market.experiment[0]: missing key(s) ['p_H']"),
+    ("outcome_unknown", "solve", _doc({"experiment": [{"p_L": 1.0, "p_H": 1.0, "x": 1}]}), [],
+     "error: market.experiment[0]: unknown key(s) ['x']"),
+    ("p_L_negative", "solve", _doc({"experiment": [{"p_L": -0.1, "p_H": 1.0}]}), [],
+     "error: market.experiment[0].p_L: -0.1 outside [0.0, None]"),
+    ("p_L_nan", "solve", _doc({"experiment": [{"p_L": _NAN, "p_H": 1.0}]}), [],
+     "error: market.experiment[0].p_L: nan outside [0.0, None]"),
+    ("p_L_inf", "solve", _doc({"experiment": [{"p_L": _INF, "p_H": 1.0}]}), [],
+     "error: market.experiment[0].p_L: expected a finite number, got inf"),
+    ("p_H_string", "solve", _doc({"experiment": [{"p_L": 1.0, "p_H": "a"}]}), [],
+     "error: market.experiment[0].p_H: expected a number, got 'a'"),
+    ("column_sums", "solve", _doc({"experiment": [{"p_L": 0.5, "p_H": 1.0}]}), [],
+     "error: market: column sums 0.5, 1.0 deviate from 1 by more than 1e-09"),
+    ("sweep_n_null", "sweep-n", _doc(sweep_n=None), [], "error: sweep_n: expected an object"),
+    ("sweep_n_number", "sweep-n", _doc(sweep_n=5), [], "error: sweep_n: expected an object"),
+    ("sweep_n_missing", "sweep-n", _doc(sweep_n={}), [], "error: sweep_n: missing key(s) ['n_max']"),
+    ("n_max_zero", "sweep-n", _doc(sweep_n={"n_max": 0}), [], "error: sweep_n.n_max: 0 below minimum 1"),
+    ("no_sweep_n", "sweep-n", _doc(), [], "error: config has no sweep_n section"),
+    ("sweep_binary_missing", "sweep-binary", _doc(sweep_binary={}), [],
+     "error: sweep_binary: missing key(s) ['dimension', 'grid']"),
+    ("dimension", "sweep-binary", _doc(sweep_binary={**_SWEEP_BINARY, "dimension": "x"}), [],
+     "error: sweep_binary.dimension: expected 'bad' or 'good', got 'x'"),
+    ("grid_empty", "sweep-binary", _doc(sweep_binary={**_SWEEP_BINARY, "grid": []}), [],
+     "error: sweep_binary.grid: expected a nonempty array of labels"),
+    ("grid_number", "sweep-binary", _doc(sweep_binary={**_SWEEP_BINARY, "grid": 0.5}), [],
+     "error: sweep_binary.grid: expected a nonempty array of labels"),
+    ("grid_entry", "sweep-binary", _doc(sweep_binary={**_SWEEP_BINARY, "grid": [0.5, "x"]}), [],
+     "error: sweep_binary.grid[1]: expected a number, got 'x'"),
+    ("grid_inf", "sweep-binary", _doc(sweep_binary={**_SWEEP_BINARY, "grid": [_INF]}), [],
+     "error: sweep_binary.grid[0]: expected a finite number, got inf"),
+    ("binary_selector", "sweep-binary", _doc(sweep_binary={**_SWEEP_BINARY, "selector": "x"}), [],
+     "error: sweep_binary.selector: expected 'most' or 'least', got 'x'"),
+    ("no_sweep_binary", "sweep-binary", _doc(), [], "error: config has no sweep_binary section"),
+    ("spread_unknown", "spread", _doc(spread={**_SPREAD, "x": 1}), [], "error: spread: unknown key(s) ['x']"),
+    ("index_negative", "spread", _doc(spread={**_SPREAD, "index": -1}), [], "error: spread.index: -1 below minimum 0"),
+    ("lr_string", "spread", _doc(spread={**_SPREAD, "lr_low": "x"}), [],
+     "error: spread.lr_low: expected a number or a [num, den] pair, got 'x'"),
+    ("lr_triple", "spread", _doc(spread={**_SPREAD, "lr_high": [1, 2, 3]}), [],
+     "error: spread.lr_high: expected a number or a [num, den] pair, got [1, 2, 3]"),
+    ("lr_inf", "spread", _doc(spread={**_SPREAD, "lr_high": [_INF, 1]}), [],
+     "error: spread.lr_high: expected a number or a [num, den] pair, got [inf, 1]"),
+    ("lr_huge_integer", "spread", json.dumps(_doc(spread=_SPREAD)).replace('"lr_low": 0.25', '"lr_low": 1' + "0" * 400),
+     [], "error: spread.lr_low: expected a number or a [num, den] pair, got 1" + "0" * 400),
+    ("lr_nan", "spread", _doc(spread={**_SPREAD, "lr_low": _NAN}), [],
+     "error: spread.lr_low: expected a number or a [num, den] pair, got nan"),
+    ("lr_negative", "spread", _doc(spread={**_SPREAD, "lr_low": -1}), [],
+     "error: odds ratio parts must be nonnegative: OddsRatio(num=-1.0, den=1.0)"),
+    ("spread_selector", "spread", _doc(spread={**_SPREAD, "selector": 1}), [],
+     "error: spread.selector: expected 'most' or 'least', got 1"),
+    ("no_spread", "spread", _doc(), [], "error: config has no spread section"),
+    ("design_null", "design", _doc(design=None), [], "error: design: expected an object"),
+    ("design_string", "design", _doc(design="ab"), [], "error: design: expected an object"),
+    ("design_unknown", "design", _doc(design={"x": 1}), [], "error: design: unknown key(s) ['x']"),
+    ("emit_grid", "design", _doc(design={"emit_grid": 1}), [], "error: design.emit_grid: expected a boolean, got 1"),
+    ("grid_points_one", "design", _doc(design={"grid_points": 1}), [], "error: design.grid_points: 1 below minimum 2"),
+    ("grid_points_string", "design", _doc(design={"grid_points": "x"}), [],
+     "error: design.grid_points: expected an integer, got 'x'"),
+    ("simulate_missing", "simulate", _doc(simulate={}), [], "error: simulate: missing key(s) ['seed', 'trials']"),
+    ("trials_zero", "simulate", _doc(simulate={**_SIMULATE, "trials": 0}), [],
+     "error: simulate.trials: 0 below minimum 1"),
+    ("trials_float", "simulate", _doc(simulate={**_SIMULATE, "trials": 1.5}), [],
+     "error: simulate.trials: expected an integer, got 1.5"),
+    ("seed_negative", "simulate", _doc(simulate={**_SIMULATE, "seed": -1}), [],
+     "error: simulate.seed: -1 below minimum 0"),
+    ("seed_2_64", "simulate", _doc(simulate={**_SIMULATE, "seed": 2**64}), [],
+     "error: simulate.seed: 18446744073709551616 above maximum 18446744073709551615"),
+    ("focal_negative", "simulate", _doc(simulate={**_SIMULATE, "focal_buyer": -1}), [],
+     "error: simulate.focal_buyer: -1 below minimum 0"),
+    ("focal_string", "simulate", _doc(simulate={**_SIMULATE, "focal_buyer": "x"}), [],
+     "error: simulate.focal_buyer: expected an integer, got 'x'"),
+    ("strategy_name", "simulate", _doc(simulate={**_SIMULATE, "strategy": "x"}), [],
+     "error: simulate.strategy: expected 'most', 'least', or an array, got 'x'"),
+    ("strategy_number", "simulate", _doc(simulate={**_SIMULATE, "strategy": 5}), [],
+     "error: simulate.strategy: unsupported value 5"),
+    ("strategy_entry", "simulate", _doc(simulate={**_SIMULATE, "strategy": [1.5, 1.0]}), [],
+     "error: simulate.strategy[0]: 1.5 outside [0.0, 1.0]"),
+    ("strategy_nan", "simulate", _doc(simulate={**_SIMULATE, "strategy": [_NAN, 1.0]}), [],
+     "error: simulate.strategy[0]: nan outside [0.0, 1.0]"),
+    ("strategy_length", "simulate", _doc(simulate={**_SIMULATE, "strategy": [1.0]}), [],
+     "error: simulate.strategy: has 1 entries for 2 outcomes"),
+    ("no_simulate", "simulate", _doc(), [], "error: config has no simulate section"),
+    ("flag_trials_zero", "simulate", _doc(simulate=_SIMULATE), ["--trials", "0"], "error: --trials: 0 below minimum 1"),
+    ("flag_trials_negative", "simulate", _doc(simulate=_SIMULATE), ["--trials", "-5"],
+     "error: --trials: -5 below minimum 1"),
+    ("flag_seed_negative", "simulate", _doc(simulate=_SIMULATE), ["--seed", "-3"], "error: --seed: -3 below minimum 0"),
+    ("flag_seed_2_64", "simulate", _doc(simulate=_SIMULATE), ["--seed", str(2**64)],
+     "error: --seed: 18446744073709551616 above maximum 18446744073709551615"),
+    ("flag_trials_string", "simulate", _doc(simulate=_SIMULATE), ["--trials", "x"],
+     "seqmarket simulate: error: argument --trials: invalid int value: 'x'"),
+    ("flag_grid_parts", "sweep-binary", _doc(sweep_binary=_SWEEP_BINARY), ["--grid", "1:2"],
+     "error: --grid expects start:stop:count, got '1:2'"),
+    ("flag_grid_numbers", "sweep-binary", _doc(sweep_binary=_SWEEP_BINARY), ["--grid", "a:b:c"],
+     "error: --grid expects numbers, got 'a:b:c'"),
+    ("flag_grid_count", "sweep-binary", _doc(sweep_binary=_SWEEP_BINARY), ["--grid", "0.5:1:0"],
+     "error: --grid count must be positive, got 0"),
+    ("flag_grid_nan", "sweep-binary", _doc(sweep_binary=_SWEEP_BINARY), ["--grid", "nan:1:3"],
+     "error: --grid[0]: expected a finite number, got nan"),
+    ("flag_selector", "spread", _doc(spread=_SPREAD), ["--selector", "x"],
+     "seqmarket spread: error: argument --selector: invalid choice: 'x' (choose from 'most', 'least')"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, config, flags, line", [case[1:] for case in INVALID_INPUTS], ids=[case[0] for case in INVALID_INPUTS]
+)
+def test_invalid_input_exits_two_with_one_error_line(tmp_path, capsys, command, config, flags, line):
+    """Every invalid config or flag ends in exit 2 and a known message, never
+    in a traceback, and writes no CSV."""
+    path = tmp_path / "config.json"
+    path.write_text(config if isinstance(config, str) else json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    try:
+        code = cli.main([command, "--config", str(path), "--out", str(out)] + flags)
+    except SystemExit as exc:  # argparse rejects a flag's value this way
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1] == line
+    assert not list(out.glob("*.csv"))
+
+
+def test_seed_and_focal_buyer_bounds_are_inclusive():
+    doc = _doc(simulate={"trials": 1, "seed": 2**64 - 1, "focal_buyer": None})
+    simulate = cli.parse_config(json.dumps(doc)).simulate
+    assert (simulate.seed, simulate.focal_buyer) == (2**64 - 1, None)
+
+
+def test_readme_config_example_parses_and_round_trips():
+    """The schema example in the README is a valid config that names every
+    section and key, and its canonical form reparses to the same config."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    schema = readme[readme.index("### Config schema") :]
+    start = schema.index("```json") + len("```json")
+    example = schema[start : schema.index("```", start)]
+    config = cli.parse_config(example)
+    canonical = cli.serialize_config(config)
+    assert cli.parse_config(canonical) == config
+    doc, canonical_doc = json.loads(example), json.loads(canonical)
+    assert set(doc) == set(canonical_doc) == {"schema_version"} | {f.name for f in dataclasses.fields(cli.RunConfig)}
+    for name, section in doc.items():
+        if isinstance(section, dict):
+            assert set(section) == set(canonical_doc[name]), name

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import seqmarket.cli as cli
+import seqmarket.design as design
 from conftest import random_market
 from seqmarket.design import (
     garbling_from_param,
@@ -22,10 +23,10 @@ from seqmarket.design import (
     obeyed_surplus,
     optimal_garbling,
 )
-from seqmarket.equilibrium import MarketSpec
+from seqmarket.equilibrium import MarketSpec, _irrelevance_display
 from seqmarket.errors import ParamOutOfRange
 from seqmarket.experiment import is_garbling_of
-from seqmarket.scenarios import demo_market, tight_market
+from seqmarket.scenarios import demo_market, revealing_market, tight_market
 
 
 class TestGarblingFromParam:
@@ -257,3 +258,47 @@ def test_optimum_is_ic_and_beats_every_ic_grid_point():
         grid = garbling_grid(spec, 401)
         best = max(r.obeyed_surplus for r in grid if r.is_ic)
         assert best <= report.obeyed_surplus + 1e-9, spec
+
+
+
+def _max_irrelevant_param_80_steps(spec: MarketSpec) -> "tuple[float, bool]":
+    """``max_irrelevant_param`` as it was with a fixed 80 bisection steps;
+    also says whether the search bisected."""
+    m = spec.experiment.m
+    ends = grid_diagnostics(spec, np.arange(m + 1, dtype=float))
+    lr_split = design._likelihood_ratios(spec.experiment)[::-1]
+    left = _irrelevance_display(spec.rho, spec.c, lr_split, ends["rejection_odds"][:-1], spec.n - 1)
+    for seg in range(m, 0, -1):
+        if ends["finite_margin"][seg] >= 0.0:
+            return float(seg), False
+        if left[seg - 1] < 0.0:
+            continue
+        lo, hi = float(seg - 1), float(seg)
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if grid_diagnostics(spec, [mid])["finite_margin"][0] >= 0.0:
+                lo = mid
+            else:
+                hi = mid
+        return lo, True
+    return 0.0, False
+
+
+def test_max_irrelevant_param_stops_bisecting_without_moving():
+    """Stopping once the midpoint repeats an end returns the float that 80
+    steps return, on the design-golden markets and 40 seeded ones."""
+    markets = [
+        demo_market(),
+        tight_market(),
+        revealing_market(),
+        random_market(np.random.default_rng(6), m_choices=(4,), n_range=(2, 30)),
+        random_market(np.random.default_rng(2), m_choices=(5,), n_range=(2, 30)),
+    ]
+    rng = np.random.default_rng(4711)
+    markets += [random_market(rng, m_choices=(2, 3, 4, 5), n_range=(2, 50)) for _ in range(40)]
+    bisected = 0
+    for spec in markets:
+        want, did_bisect = _max_irrelevant_param_80_steps(spec)
+        assert max_irrelevant_param(spec) == want, spec
+        bisected += did_bisect
+    assert bisected >= 10
