@@ -56,7 +56,8 @@ class _MarketKeys:
 
     rho: float = _key("number", lo=0.0, hi=1.0)
     c: float = _key("number", lo=0.0, hi=1.0)
-    n: int = _key("int", lo=1)
+    # Beyond 2**53, n and n - 1 are the same float.
+    n: int = _key("int", lo=1, hi=2**53)
     experiment: "tuple[_OutcomeKeys, ...]" = _key("outcomes")
 
 
@@ -213,13 +214,14 @@ def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a JSON config document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of more digits than int() takes
         raise SchemaError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("config root must be a JSON object")
     _check_names(doc, fields(RunConfig), "config", {"schema_version"})
-    if doc["schema_version"] != SCHEMA_VERSION:
-        raise SchemaError(f"unsupported schema_version {doc['schema_version']!r}; this tool reads {SCHEMA_VERSION}")
+    version = doc["schema_version"]
+    if isinstance(version, bool) or not isinstance(version, int) or version != SCHEMA_VERSION:
+        raise SchemaError(f"unsupported schema_version {version!r}; this tool reads {SCHEMA_VERSION}")
     sections = {key.name: _value(key, doc[key.name], key.name) for key in fields(RunConfig) if key.name in doc}
     market = sections["market"] = _parse_market(sections["market"])
     strategy = sections["simulate"].strategy if "simulate" in sections else "most"

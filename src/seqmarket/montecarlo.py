@@ -2,10 +2,32 @@
 
 Each trial draws the asset quality, one signal and one uniform tie-breaker
 per buyer, and a uniform visit order; the seller visits buyers in that order
-until one accepts (a buyer with signal ``s`` and tie-breaker ``u`` accepts
-iff ``u <= sigma(s)``).  Trials are laid out in fixed-size blocks, each with
-its own counter-derived Philox stream, so results are bit-identical for a
-given configuration regardless of how blocks are scheduled.
+until one accepts (a buyer with signal ``s`` and tie-breaker ``t`` accepts
+iff ``t <= sigma(s)``).  Trials are laid out in blocks of ``BLOCK_TRIALS``,
+each with its own counter-derived Philox stream, so results are bit-identical
+for a given configuration regardless of how blocks are scheduled.
+
+Per block the stream is read in one fixed order: the quality of every trial,
+then a ``trials x n`` array each of signal uniforms, tie-breakers and (with a
+focal buyer) visit-order keys.  The arithmetic after the draws reads no
+further random numbers, so the kernel can be rewritten without moving an
+estimate: ``tests/reference_montecarlo.py`` keeps the earlier kernel, which
+sorts the visit order, on the same stream.
+
+*Signals.*  A buyer with signal uniform ``u`` in state ``theta`` gets outcome
+``min(#{j : cum_theta[j] < u}, m - 1)``, where ``cum_theta`` is the running sum
+of that state's masses; the clip covers a sum that ends below 1.  The kernel
+never forms the outcome.  With ``t`` the buyer's tie-breaker, it starts from
+the decision ``t <= sigma[m - 1]`` and walks the threshold chain
+``j = m - 2, ..., 0``, replacing the decision by ``t <= sigma[j]`` where
+``u <= cum_theta[j]``; the last replacement is the outcome's own.  Steps with
+``sigma[j] == sigma[j + 1]`` change nothing and are skipped, so a cutoff
+strategy takes at most two.
+
+*Visit order.*  The focal buyer is reached when no buyer whose order key is
+smaller than the focal buyer's accepts.  A buyer whose key equals the focal
+buyer's counts as visited after it; such a tie has probability about
+``(n - 1) * 2**-53`` per trial.
 """
 
 from __future__ import annotations
@@ -86,6 +108,7 @@ def simulate(spec: MarketSpec, strategy: Strategy, config: SimConfig) -> SimEsti
     cum_l = np.cumsum(spec.experiment.p_L_array())
     cum_h = np.cumsum(spec.experiment.p_H_array())
     m = spec.experiment.m
+    steps = [j for j in range(m - 2, -1, -1) if sigma[j] != sigma[j + 1]]
 
     n_high = 0
     n_trade_high = 0
@@ -103,15 +126,13 @@ def simulate(spec: MarketSpec, strategy: Strategy, config: SimConfig) -> SimEsti
         theta_high = rng.random(size) < spec.rho
         sig_u = rng.random((size, n))
         tie_u = rng.random((size, n))
-        if focal is not None:
-            order_u = rng.random((size, n))
 
-        cum = np.where(theta_high[:, None], cum_h[None, :], cum_l[None, :])
-        # Inverse-CDF draw per buyer; clip guards the cumsum's last-ulp gap.
-        signals = np.minimum(
-            (sig_u[:, :, None] > cum[:, None, :]).sum(axis=2), m - 1
-        )
-        accepts = tie_u <= sigma[signals]
+        # The threshold chain on accept decisions; the xor form of
+        # ``where(below, tie_u <= sigma[j], accepts)`` runs without branches.
+        accepts = tie_u <= sigma[m - 1]
+        for j in steps:
+            below = sig_u <= np.where(theta_high, cum_h[j], cum_l[j])[:, None]
+            accepts ^= ((tie_u <= sigma[j]) ^ accepts) & below
         trade = accepts.any(axis=1)
 
         n_high += int(theta_high.sum())
@@ -122,15 +143,8 @@ def simulate(spec: MarketSpec, strategy: Strategy, config: SimConfig) -> SimEsti
         surplus_sq_sum += float((gain * gain).sum())
 
         if focal is not None:
-            perm = np.argsort(order_u, axis=1)
-            accepts_in_order = np.take_along_axis(accepts, perm, axis=1)
-            pos = (perm == focal).argmax(axis=1)
-            any_before = np.cumsum(accepts_in_order, axis=1) > 0
-            reached = np.where(
-                pos > 0,
-                ~any_before[np.arange(size), np.maximum(pos - 1, 0)],
-                True,
-            )
+            order_u = rng.random((size, n))
+            reached = ~(accepts & (order_u < order_u[:, focal : focal + 1])).any(axis=1)
             n_visited += int(reached.sum())
             n_visited_high += int((reached & theta_high).sum())
 

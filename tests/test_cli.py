@@ -288,6 +288,10 @@ INVALID_INPUTS = [
     ("missing_version", "solve", {"market": DEMO_DOC["market"]}, [],
      "error: config: missing key(s) ['schema_version']"),
     ("schema_version", "solve", _doc(schema_version=99), [], "error: unsupported schema_version 99; this tool reads 1"),
+    ("schema_version_bool", "solve", _doc(schema_version=True), [],
+     "error: unsupported schema_version True; this tool reads 1"),
+    ("schema_version_float", "solve", _doc(schema_version=1.0), [],
+     "error: unsupported schema_version 1.0; this tool reads 1"),
     ("market_null", "solve", {"schema_version": 1, "market": None}, [], "error: market: expected an object"),
     ("market_unknown", "solve", _doc({"extra": 1}), [], "error: market: unknown key(s) ['extra']"),
     ("market_missing", "solve", {"schema_version": 1, "market": {"rho": 0.5, "c": 0.2, "experiment": []}}, [],
@@ -303,6 +307,10 @@ INVALID_INPUTS = [
     ("c_inf", "solve", _doc({"c": _INF}), [], "error: market.c: inf outside [0.0, 1.0]"),
     ("n_float", "solve", _doc({"n": 2.5}), [], "error: market.n: expected an integer, got 2.5"),
     ("n_zero", "solve", _doc({"n": 0}), [], "error: market.n: 0 below minimum 1"),
+    ("n_above", "solve", _doc({"n": 10**20}), [], "error: market.n: 100000000000000000000 above maximum 9007199254740992"),
+    ("n_too_many_digits", "solve", json.dumps(_doc()).replace('"n": 2', '"n": 1' + "0" * 5000), [],
+     "error: config is not valid JSON: Exceeds the limit (4300 digits) for integer string conversion: "
+     "value has 5001 digits; use sys.set_int_max_str_digits() to increase the limit"),
     ("experiment_empty", "solve", _doc({"experiment": []}), [], "error: market.experiment: expected a nonempty array"),
     ("experiment_object", "solve", _doc({"experiment": {}}), [], "error: market.experiment: expected a nonempty array"),
     ("outcome_number", "solve", _doc({"experiment": [1, 2]}), [],
@@ -432,6 +440,10 @@ def test_seed_and_focal_buyer_bounds_are_inclusive():
     doc = _doc(simulate={"trials": 1, "seed": 2**64 - 1, "focal_buyer": None})
     simulate = cli.parse_config(json.dumps(doc)).simulate
     assert (simulate.seed, simulate.focal_buyer) == (2**64 - 1, None)
+
+
+def test_market_size_bound_is_inclusive():
+    assert cli.parse_config(json.dumps(_doc({"n": 2**53}))).market.n == 2**53
 
 
 def test_readme_config_example_parses_and_round_trips():

@@ -3,7 +3,10 @@
 The files under ``tests/golden/`` lock the CSVs of the repro fixtures, of
 ``sweep-n`` to ``n_max = 200``, of 201-point ``sweep-binary`` curves and of
 ``design`` with a 401-point grid, so a change to the solver that moves any
-printed digit shows up here.  The irrelevance margin ``F`` of the design CSVs
+printed digit shows up here.  The ``simulate`` cases lock the Monte Carlo
+stream: the demo, tight and seeded markets with and without a focal buyer,
+an explicit non-monotone strategy, and trial counts whose last block of
+``BLOCK_TRIALS`` is partial.  The irrelevance margin ``F`` of the design CSVs
 is the one cell compared with a tolerance (``F_TOL`` relative, or absolute
 below 1): it is a product of odds whose last digits depend on the order of
 its factors.  To write them afresh (only when an output change is intended
@@ -79,6 +82,22 @@ def _cases() -> dict[str, tuple[list[str], dict | None, str]]:
         config = _config(market(), design={"emit_grid": True, "grid_points": 401})
         for csv in ("design.csv", "design_grid.csv"):
             cases[f"{csv[:-4]}_{name}.csv"] = (["design"], config, csv)
+    simulations = {
+        "demo_focal0": (demo_market(), 50_000, 11, 0, "most"),
+        "tight50": (tight_market(50), 20_000, 3, None, "most"),
+        "tight50_focal17": (tight_market(50), 20_000, 3, 17, "most"),
+        "seeded_m5_n6_focal5": (
+            random_market(np.random.default_rng(8), m_choices=(5,), n_range=(6, 6)), 40_000, 8, 5, "most"
+        ),
+        "seeded_m3_nonmonotone": (
+            random_market(np.random.default_rng(7), m_choices=(3,), n_range=(4, 4)), 30_000, 21, 1, [0.6, 0.0, 1.0]
+        ),
+        # 3 * 2**14 + 5 trials: three full blocks and a five-trial one.
+        "revealing_partial_block": (revealing_market(4), 3 * 2**14 + 5, 2, 3, "most"),
+    }
+    for name, (market, trials, seed, focal, strategy) in simulations.items():
+        section = {"trials": trials, "seed": seed, "focal_buyer": focal, "strategy": strategy}
+        cases[f"simulate_{name}.csv"] = (["simulate"], _config(market, simulate=section), "simulate.csv")
     return cases
 
 

@@ -3,7 +3,15 @@ closed forms."""
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
+import numpy as np
 import pytest
+
+import seqmarket.montecarlo as montecarlo
+from conftest import random_market
+from reference_montecarlo import simulate as reference_simulate
 
 from seqmarket.equilibrium import (
     MarketSpec,
@@ -15,8 +23,8 @@ from seqmarket.equilibrium import (
 )
 from seqmarket.errors import LengthMismatch, NoFocalBuyer
 from seqmarket.montecarlo import SimConfig, estimate_interim, simulate
-from seqmarket.experiment import build_experiment
-from seqmarket.scenarios import demo_market, tight_market
+from seqmarket.experiment import FiniteExperiment, Outcome, build_experiment
+from seqmarket.scenarios import demo_market, revealing_market, tight_market
 
 SIGMA_SELECTIVE = Strategy((0.0, 1.0))
 TRIALS = 10**6
@@ -108,3 +116,90 @@ class TestOracleAgreement:
         sigma = Strategy((0.0, 0.7))
         value, se = estimate_interim(spec, sigma, SimConfig(trials=TRIALS, seed=77, focal_buyer=3))
         assert_within(value, interim_belief(spec, sigma), se)
+
+
+def _fields(est) -> tuple:
+    """The estimate's fields, NaN spelled out so that ``==`` is exact equality."""
+    return tuple("nan" if isinstance(v, float) and math.isnan(v) else v for v in dataclasses.astuple(est))
+
+
+# An experiment whose low-state masses sum, left to right, to one ulp below 1.
+ONE_ULP_SHORT = build_experiment([(0.7, 0.1), (0.2, 0.3), (0.1, 0.6)])
+# Built without the column-sum check: a tenth of each state's mass is missing,
+# so one signal uniform in ten lies beyond the last cumulative mass and the
+# signal is clipped to the top outcome.
+MASS_DEFICIT = FiniteExperiment((Outcome(0.375, 0.5, 0.3), Outcome(0.6, 0.4, 0.6)))
+
+# (market, strategy, focal buyers): each runs with and without a focal buyer.
+EQUIVALENCE_CASES = {
+    "m1_mixing": (MarketSpec(0.4, 0.3, 3, build_experiment([(1.0, 1.0)])), (0.45,), (0, 2)),
+    "m1_reject": (MarketSpec(0.4, 0.3, 2, build_experiment([(1.0, 1.0)])), (0.0,), (1,)),
+    "zero_low_mass_top": (revealing_market(3), (0.0, 1.0), (0, 2)),
+    "zero_high_mass_bottom": (
+        MarketSpec(0.5, 0.2, 4, build_experiment([(0.5, 0.0), (0.5, 1.0)])), (0.3, 1.0), (0, 3)
+    ),
+    "one_ulp_short": (MarketSpec(0.35, 0.4, 3, ONE_ULP_SHORT), (0.0, 0.5, 1.0), (1,)),
+    "mass_deficit": (MarketSpec(0.5, 0.3, 3, MASS_DEFICIT), (0.2, 0.9), (0, 2)),
+    "one_buyer": (demo_market(n=1), (0.0, 1.0), (0,)),
+    "pure": (tight_market(6), (0.0, 1.0), (0, 5)),
+    "mixing": (tight_market(7), (0.0, 0.65), (3,)),
+    "accept_all": (demo_market(4), (1.0, 1.0), (0, 3)),
+    "non_monotone": (MarketSpec(0.6, 0.5, 5, ONE_ULP_SHORT), (0.7, 0.0, 1.0), (0, 4)),
+    "equal_neighbours": (MarketSpec(0.6, 0.5, 4, ONE_ULP_SHORT), (0.4, 0.4, 0.9), (2,)),
+}
+for _seed in range(6):
+    _spec = random_market(np.random.default_rng(100 + _seed), m_choices=(2, 3, 4, 5), n_range=(1, 8))
+    _draw = np.random.default_rng(200 + _seed).choice([0.0, 0.25, 0.5, 1.0], size=_spec.experiment.m)
+    EQUIVALENCE_CASES[f"seeded_{_seed}"] = (_spec, tuple(float(a) for a in _draw), (0, _spec.n - 1))
+
+
+class TestReferenceKernel:
+    """The block kernel reproduces the sorted-visit-order kernel exactly."""
+
+    def test_cases_reach_the_corners(self):
+        assert np.cumsum(ONE_ULP_SHORT.p_L_array())[-1] == 1.0 - 2.0**-53
+        assert np.cumsum(MASS_DEFICIT.p_L_array())[-1] < 0.95
+
+    @pytest.mark.parametrize("name", sorted(EQUIVALENCE_CASES))
+    def test_estimates_equal_the_reference(self, name):
+        spec, accept, focals = EQUIVALENCE_CASES[name]
+        strategy = Strategy(accept)
+        # Two full blocks and a partial third.
+        for focal in (None, *focals):
+            config = SimConfig(trials=2 * montecarlo.BLOCK_TRIALS + 77, seed=len(name), focal_buyer=focal)
+            assert _fields(simulate(spec, strategy, config)) == _fields(reference_simulate(spec, strategy, config))
+
+    @pytest.mark.parametrize("other_key, reached", [(0.5, True), (0.25, False)])
+    def test_visit_order_tie_counts_the_other_buyer_after(self, monkeypatch, other_key, reached):
+        """Both buyers accept.  Buyer 0 comes before focal buyer 1 only when
+        its visit-order key is strictly smaller; an equal key counts as later."""
+        _script(monkeypatch, [0.0], [[0.0, 0.0]], [[0.0, 0.0]], [[other_key, 0.5]])
+        est = simulate(demo_market(), Strategy((1.0, 1.0)), SimConfig(trials=1, seed=0, focal_buyer=1))
+        assert (est.interim_estimate == 1.0) if reached else math.isnan(est.interim_estimate)
+
+    @pytest.mark.parametrize("u, trades", [(0.8, False), (np.nextafter(0.8, 1.0), True)])
+    def test_signal_uniform_on_a_cumulative_mass_takes_the_lower_outcome(self, monkeypatch, u, trades):
+        """In the Low state the demo market's first cumulative mass is 0.8: a
+        uniform equal to it draws the rejected outcome 0, the next float the
+        accepted outcome 1."""
+        _script(monkeypatch, [0.9], [[u]], [[0.5]])
+        est = simulate(demo_market(n=1), Strategy((0.0, 1.0)), SimConfig(trials=1, seed=0))
+        assert est.trade_prob_L == float(trades)
+
+
+class _Scripted:
+    """Stands in for a block's generator and hands out the given draws in turn."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def random(self, size=None, out=None):
+        value = self.draws.pop(0)
+        if out is None:
+            return np.asarray(value, dtype=float)
+        out[...] = value
+        return out
+
+
+def _script(monkeypatch, *draws) -> None:
+    monkeypatch.setattr(montecarlo, "_block_rng", lambda seed, block: _Scripted(*draws))

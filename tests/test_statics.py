@@ -11,7 +11,7 @@ import pytest
 import seqmarket.statics as statics
 
 from conftest import random_market
-from seqmarket.equilibrium import MarketSpec, Strategy, most_selective, select_equilibrium
+from seqmarket.equilibrium import MarketSpec, Strategy, enumerate_chains, most_selective, select_equilibrium
 from seqmarket.errors import GridOutOfRange, NonMonotoneStrategy, NotComparable
 from seqmarket.experiment import (
     LocalSpreadParams,
@@ -261,13 +261,10 @@ class TestBinaryThresholds:
         spec = demo_market()
         th = binary_thresholds(spec)
         grid = np.linspace(0.0, 0.5, 10_001)
-        rejecting = [
-            most_selective(
-                spec.with_experiment(binary_experiment_from_labels(float(s), 0.8))
-            ).strategy.accept[0]
-            == 0.0
-            for s in grid
-        ]
+        chains = enumerate_chains(
+            [spec.with_experiment(binary_experiment_from_labels(float(s), 0.8)) for s in grid]
+        )
+        rejecting = [chain[0].strategy.accept[0] == 0.0 for chain in chains]
         boundary = grid[max(i for i, r in enumerate(rejecting) if r)]
         assert th.s_L_dagger == pytest.approx(boundary, abs=float(grid[1] - grid[0]) + 1e-12)
         assert th.s_L_dagger >= th.s_L_mute - 1e-12
