@@ -118,14 +118,18 @@ def simulate(spec: MarketSpec, strategy: Strategy, config: SimConfig) -> SimEsti
     n_visited = 0
     n_visited_high = 0
 
+    # Every block draws into the same buffers (the signal, tie-break and
+    # visit-order uniforms), so no two blocks' draws are alive at once and
+    # the peak memory does not hang on how the allocator reuses freed blocks.
+    draws = np.empty((3, min(BLOCK_TRIALS, config.trials), n))
     remaining = config.trials
     block = 0
     while remaining > 0:
         size = min(BLOCK_TRIALS, remaining)
         rng = _block_rng(config.seed, block)
         theta_high = rng.random(size) < spec.rho
-        sig_u = rng.random((size, n))
-        tie_u = rng.random((size, n))
+        sig_u = rng.random(out=draws[0, :size])
+        tie_u = rng.random(out=draws[1, :size])
 
         # The threshold chain on accept decisions; the xor form of
         # ``where(below, tie_u <= sigma[j], accepts)`` runs without branches.
@@ -143,7 +147,7 @@ def simulate(spec: MarketSpec, strategy: Strategy, config: SimConfig) -> SimEsti
         surplus_sq_sum += float((gain * gain).sum())
 
         if focal is not None:
-            order_u = rng.random((size, n))
+            order_u = rng.random(out=draws[2, :size])
             reached = ~(accepts & (order_u < order_u[:, focal : focal + 1])).any(axis=1)
             n_visited += int(reached.sum())
             n_visited_high += int((reached & theta_high).sum())

@@ -207,9 +207,9 @@ class BinaryThresholds:
     s_L_dagger: float
 
 
-def _binary_labels(spec: MarketSpec) -> tuple[float, float]:
+def _binary_labels(spec: MarketSpec, caller: str) -> tuple[float, float]:
     if not spec.experiment.is_binary():
-        raise NotBinary("binary thresholds need a binary experiment")
+        raise NotBinary(f"{caller} needs a binary experiment, got {spec.experiment.m} outcomes")
     return spec.experiment.labels[0], spec.experiment.labels[1]
 
 
@@ -217,22 +217,30 @@ def _label_from_odds(odds: float) -> float:
     return odds / (1.0 + odds) if math.isfinite(odds) else 1.0
 
 
-def _reject_low_feasible(spec: MarketSpec, s_low: float, s_high: float) -> bool:
-    """Whether an equilibrium that rejects the low signal exists at these labels.
+def _reject_low_mask(spec: MarketSpec, s_low: np.ndarray, s_high: float) -> np.ndarray:
+    """Whether an equilibrium that rejects the low signal exists at each
+    bad-news label in ``s_low``, with the high label fixed at ``s_high``.
 
     The boundary condition: under the accept-only-high strategy, the low
-    signal's posterior odds stay at or below the reservation odds.
+    signal's posterior odds stay at or below the reservation odds.  The masses
+    are those of ``binary_experiment_from_labels(s, s_high)``, renormalised by
+    their two-term column sums as ``build_experiment`` does; the uninformative
+    corner is two outcomes of mass ``(0.5, 0.5)``.  Where a label leaves one
+    outcome without mass the experiment is not binary, and rejection is
+    feasible iff ``rho <= c``.
     """
-    exp = binary_experiment_from_labels(s_low, s_high)
-    if not exp.is_binary():  # uninformative corner collapses to one outcome
-        return spec.rho <= spec.c
-    spec_here = spec.with_experiment(exp)
-    r_l, r_h = rejection_probs(spec_here, Strategy((0.0, 1.0)))
-    psi = interim_from_rejections(spec.rho, r_l, r_h, spec.n)
-    low = exp.outcomes[0]
-    lhs = psi * low.p_H * (1.0 - spec.c)
-    rhs = (1.0 - psi) * low.p_L * spec.c
-    return lhs <= rhs + 1e-15
+    corner = s_high - s_low < 1e-15
+    s_lo = np.where(corner, 0.5, s_low)
+    s_hi = np.where(corner, 0.5, s_high)
+    w = np.divide(1.0 - 2.0 * s_lo, s_hi - s_lo, out=np.ones_like(s_lo), where=~corner)
+    low_L, low_H = (2.0 - w) * (1.0 - s_lo), (2.0 - w) * s_lo
+    high_L, high_H = w * (1.0 - s_hi), w * s_hi
+    binary = (low_L + low_H > 0.0) & (high_L + high_H > 0.0)
+    sum_L, sum_H = low_L + high_L, low_H + high_H
+    psi = interim_from_rejections(spec.rho, 1.0 - high_L / sum_L, 1.0 - high_H / sum_H, spec.n)
+    lhs = psi * (low_H / sum_H) * (1.0 - spec.c)
+    rhs = (1.0 - psi) * (low_L / sum_L) * spec.c
+    return np.where(binary, lhs <= rhs + 1e-15, spec.rho <= spec.c)
 
 
 def binary_thresholds(spec: MarketSpec) -> BinaryThresholds:
@@ -242,10 +250,19 @@ def binary_thresholds(spec: MarketSpec) -> BinaryThresholds:
     (strongest bad news with an accept-everything equilibrium).  ``s_L_as``
     solves the adverse-selection display with the high label fixed (the
     surplus turning point).  ``s_L_dagger`` is the largest bad-news label at
-    which a reject-the-low-signal equilibrium exists, found by bisection over
-    the legal half-interval [0, 0.5].
+    which a reject-the-low-signal equilibrium exists: one array evaluation of
+    the boundary condition scans 1025 labels over the legal half-interval
+    [0, 0.5] (so a non-monotone corner cannot mislead it), and a bisection
+    refines the last feasible grid cell through the same evaluation on
+    one-label arrays.  It stops once the midpoint repeats an end, after which
+    neither end can move, and after at most 60 steps.
+
+    Raises ``DegeneratePrior`` for ``rho`` of 0 or 1, and ``NotBinary`` when
+    no label is feasible, as for the uninformative high label 0.5 with
+    ``rho > c``.
     """
-    _, s_high = _binary_labels(spec)
+    spec.require_interior_prior()
+    _, s_high = _binary_labels(spec, "binary_thresholds")
     prior_odds = spec.rho / (1.0 - spec.rho)
     cost_odds = spec.c / (1.0 - spec.c) if spec.c < 1.0 else math.inf
     mute = _label_from_odds(cost_odds / prior_odds)
@@ -256,18 +273,23 @@ def binary_thresholds(spec: MarketSpec) -> BinaryThresholds:
         target = cost_odds / (prior_odds * high_odds)
         s_as = _label_from_odds(target ** (1.0 / (spec.n - 1)))
 
-    # Regime boundary: scan for the last label where rejection is feasible,
-    # then refine.  The scan guards against non-monotone corners.
     grid = np.linspace(0.0, 0.5, 1025)
-    feasible = [_reject_low_feasible(spec, float(s), s_high) for s in grid]
-    if all(feasible):
+    feasible = np.flatnonzero(_reject_low_mask(spec, grid, s_high))
+    if feasible.size == grid.size:
         dagger = 0.5
+    elif feasible.size == 0:
+        raise NotBinary(
+            f"no bad-news label admits a reject-low equilibrium: the high label "
+            f"{s_high} is uninformative and rho={spec.rho} > c={spec.c}"
+        )
     else:
-        last = max(i for i, ok in enumerate(feasible) if ok)
+        last = feasible[-1]
         lo, hi = float(grid[last]), float(grid[last + 1])
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if _reject_low_feasible(spec, mid, s_high):
+            if mid == lo or mid == hi:
+                break
+            if _reject_low_mask(spec, np.array([mid]), s_high)[0]:
                 lo = mid
             else:
                 hi = mid
@@ -301,7 +323,7 @@ def sweep_binary(
     ``dimension == "bad"`` varies the low label over ``[0, 0.5]`` holding the
     high label fixed; ``"good"`` varies the high label over ``[0.5, 1]``.
     """
-    s_low, s_high = _binary_labels(spec)
+    s_low, s_high = _binary_labels(spec, "sweep-binary")
     if dimension not in ("bad", "good"):
         raise ValueError(f"dimension must be 'bad' or 'good', got {dimension!r}")
     labels, specs, invalid = [], [], None

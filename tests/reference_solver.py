@@ -1,4 +1,4 @@
-"""The scalar equilibrium-chain enumeration, kept as the test reference.
+"""The scalar solvers the package used before its array kernels, kept as test references.
 
 This is the per-market loop the package used before the batched kernel in
 ``seqmarket.equilibrium``: the pure cutoffs one at a time, the mixing gap on
@@ -6,9 +6,16 @@ the uniform grid, one scalar bisection per bracket and a pairwise dedup.  It
 is slow (the ``n == 1`` exact-indifference case compares about a thousand
 candidates pairwise) but simple to read, and the kernel must reproduce its
 records bit for bit.
+
+It also keeps the scalar ``binary_thresholds``: a 1025-label scan and a
+60-step bisection, each label tested by building its binary experiment and
+solving the accept-only-high interim belief one market at a time.  The
+array evaluation in ``seqmarket.statics`` must return the same three floats.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -24,7 +31,9 @@ from seqmarket.equilibrium import (
     rejection_probs,
     total_surplus,
 )
-from seqmarket.errors import NoEquilibriumFound
+from seqmarket.errors import NoEquilibriumFound, NotBinary
+from seqmarket.experiment import binary_experiment_from_labels
+from seqmarket.statics import BinaryThresholds, _label_from_odds
 
 
 def mixing_gap_curve(spec: MarketSpec, j: int, alphas: np.ndarray) -> np.ndarray:
@@ -112,3 +121,67 @@ def enumerate_equilibria(spec: MarketSpec) -> tuple[Equilibrium, ...]:
         if not all(x <= y + 1e-12 for x, y in zip(a.accept, b.accept)):
             raise NoEquilibriumFound("equilibrium set is not a selectivity chain")
     return tuple(equilibrium_record(spec, s) for s in deduped)
+
+
+def _binary_labels(spec: MarketSpec) -> tuple[float, float]:
+    if not spec.experiment.is_binary():
+        raise NotBinary("binary thresholds need a binary experiment")
+    return spec.experiment.labels[0], spec.experiment.labels[1]
+
+
+def _reject_low_feasible(spec: MarketSpec, s_low: float, s_high: float) -> bool:
+    """Whether an equilibrium that rejects the low signal exists at these labels.
+
+    The boundary condition: under the accept-only-high strategy, the low
+    signal's posterior odds stay at or below the reservation odds.
+    """
+    exp = binary_experiment_from_labels(s_low, s_high)
+    if not exp.is_binary():  # uninformative corner collapses to one outcome
+        return spec.rho <= spec.c
+    spec_here = spec.with_experiment(exp)
+    r_l, r_h = rejection_probs(spec_here, Strategy((0.0, 1.0)))
+    psi = interim_from_rejections(spec.rho, r_l, r_h, spec.n)
+    low = exp.outcomes[0]
+    lhs = psi * low.p_H * (1.0 - spec.c)
+    rhs = (1.0 - psi) * low.p_L * spec.c
+    return lhs <= rhs + 1e-15
+
+
+def binary_thresholds(spec: MarketSpec) -> BinaryThresholds:
+    """The three critical bad-news levels of a binary market.
+
+    ``s_L_mute`` solves prior odds times label odds equals reservation odds
+    (strongest bad news with an accept-everything equilibrium).  ``s_L_as``
+    solves the adverse-selection display with the high label fixed (the
+    surplus turning point).  ``s_L_dagger`` is the largest bad-news label at
+    which a reject-the-low-signal equilibrium exists, found by bisection over
+    the legal half-interval [0, 0.5].
+    """
+    _, s_high = _binary_labels(spec)
+    prior_odds = spec.rho / (1.0 - spec.rho)
+    cost_odds = spec.c / (1.0 - spec.c) if spec.c < 1.0 else math.inf
+    mute = _label_from_odds(cost_odds / prior_odds)
+    if spec.n == 1:
+        s_as = 0.0  # a single buyer always gains from stronger bad news
+    else:
+        high_odds = s_high / (1.0 - s_high) if s_high < 1.0 else math.inf
+        target = cost_odds / (prior_odds * high_odds)
+        s_as = _label_from_odds(target ** (1.0 / (spec.n - 1)))
+
+    # Regime boundary: scan for the last label where rejection is feasible,
+    # then refine.  The scan guards against non-monotone corners.
+    grid = np.linspace(0.0, 0.5, 1025)
+    feasible = [_reject_low_feasible(spec, float(s), s_high) for s in grid]
+    if all(feasible):
+        dagger = 0.5
+    else:
+        last = max(i for i, ok in enumerate(feasible) if ok)
+        lo, hi = float(grid[last]), float(grid[last + 1])
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if _reject_low_feasible(spec, mid, s_high):
+                lo = mid
+            else:
+                hi = mid
+        dagger = 0.5 * (lo + hi)
+    return BinaryThresholds(s_L_mute=mute, s_L_as=s_as, s_L_dagger=dagger)

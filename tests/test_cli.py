@@ -349,6 +349,10 @@ INVALID_INPUTS = [
     ("binary_selector", "sweep-binary", _doc(sweep_binary={**_SWEEP_BINARY, "selector": "x"}), [],
      "error: sweep_binary.selector: expected 'most' or 'least', got 'x'"),
     ("no_sweep_binary", "sweep-binary", _doc(), [], "error: config has no sweep_binary section"),
+    ("sweep_binary_m3", "sweep-binary",
+     _doc({"experiment": [{"p_L": 0.5, "p_H": 0.2}, {"p_L": 0.3, "p_H": 0.3}, {"p_L": 0.2, "p_H": 0.5}]},
+          sweep_binary=_SWEEP_BINARY), [],
+     "error: sweep-binary needs a binary experiment, got 3 outcomes"),
     ("spread_unknown", "spread", _doc(spread={**_SPREAD, "x": 1}), [], "error: spread: unknown key(s) ['x']"),
     ("index_negative", "spread", _doc(spread={**_SPREAD, "index": -1}), [], "error: spread.index: -1 below minimum 0"),
     ("lr_string", "spread", _doc(spread={**_SPREAD, "lr_low": "x"}), [],

@@ -7,12 +7,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import reference_solver as reference
 import seqmarket.statics as statics
 
 from conftest import random_market
 from seqmarket.equilibrium import MarketSpec, Strategy, enumerate_chains, most_selective, select_equilibrium
-from seqmarket.errors import GridOutOfRange, NonMonotoneStrategy, NotComparable
+from seqmarket.errors import DegeneratePrior, GridOutOfRange, NonMonotoneStrategy, NotBinary, NotComparable
 from seqmarket.experiment import (
     LocalSpreadParams,
     OddsRatio,
@@ -271,6 +274,93 @@ class TestBinaryThresholds:
 
     def test_single_buyer_as_level_hits_zero(self):
         assert binary_thresholds(demo_market(n=1)).s_L_as == 0.0
+
+    @staticmethod
+    def oracle_markets() -> list[MarketSpec]:
+        """Seeded binary markets from n = 1 to 2**53, with the s_H = 1,
+        s_L = 0, c = 0 and c = 1 corners and rho on both sides of c."""
+        rng = np.random.default_rng(1)
+        sizes = (1, 2, 3, 5, 10, 27, 50, 200, 10**6, 2**53)
+        markets = []
+        for i in range(300):
+            s_high = 1.0 if i % 5 == 0 else float(rng.uniform(0.5, 1.0))
+            s_low = 0.0 if i % 7 == 0 else float(rng.uniform(0.0, 0.49))
+            rho = float(rng.uniform(0.02, 0.98))
+            c = 0.0 if i % 11 == 0 else 1.0 if i % 13 == 0 else float(rng.uniform(0.02, 0.98))
+            markets.append(MarketSpec(rho, c, sizes[i % len(sizes)], binary_experiment_from_labels(s_low, s_high)))
+        return markets
+
+    def test_matches_the_scalar_reference(self):
+        markets = self.oracle_markets()
+        near_half = 0
+        for spec in markets:
+            th = binary_thresholds(spec)
+            assert th == reference.binary_thresholds(spec), spec
+            near_half += spec.n == 2**53 and 0.0 < 0.5 - th.s_L_dagger < 1e-10
+        # The corners the set must hold; near 0.5 at n = 2**53 the high
+        # outcome's mass is so small that geometric_sum takes its near-one branch.
+        assert {1, 10**6, 2**53} <= {spec.n for spec in markets}
+        assert any(spec.experiment.labels[1] == 1.0 for spec in markets)
+        assert any(spec.experiment.labels[0] == 0.0 for spec in markets)
+        assert {0.0, 1.0} <= {spec.c for spec in markets}
+        assert any(spec.rho <= spec.c for spec in markets) and any(spec.rho > spec.c for spec in markets)
+        assert near_half >= 1
+
+    def test_bisection_stop_matches_sixty_steps(self, monkeypatch):
+        """Stopping once the midpoint repeats an end gives the float that all
+        60 steps give."""
+
+        def sixty_steps(spec):
+            s_high = spec.experiment.labels[1]
+            grid = np.linspace(0.0, 0.5, 1025)
+            feasible = statics._reject_low_mask(spec, grid, s_high)
+            if feasible.all():
+                return 0.5
+            last = np.flatnonzero(feasible)[-1]
+            lo, hi = float(grid[last]), float(grid[last + 1])
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                if statics._reject_low_mask(spec, np.array([mid]), s_high)[0]:
+                    lo = mid
+                else:
+                    hi = mid
+            return 0.5 * (lo + hi)
+
+        for spec in self.oracle_markets():
+            assert binary_thresholds(spec).s_L_dagger == sixty_steps(spec), spec
+        calls = []
+        mask = statics._reject_low_mask
+        monkeypatch.setattr(statics, "_reject_low_mask", lambda *args: calls.append(0) or mask(*args))
+        binary_thresholds(demo_market())
+        assert len(calls) < 1 + 60
+
+    @given(
+        rho=st.floats(0.0, 1.0),
+        c=st.floats(0.0, 1.0),
+        n=st.sampled_from([1, 2, 3, 10, 200, 10**6, 2**53]),
+        s_high=st.one_of(st.just(0.5), st.just(1.0), st.floats(0.5, 1.0)),
+        labels=st.lists(st.one_of(st.just(0.0), st.just(0.5), st.floats(0.0, 0.5)), min_size=1, max_size=20),
+    )
+    # An exact tie at the 1e-15 tolerance, which counts as feasible.
+    @example(rho=3.666666666666667e-15, c=0.0, n=1, s_high=0.8, labels=[0.25])
+    # An uninformative high label leaves only the high outcome: not binary.
+    @example(rho=0.6, c=0.3, n=3, s_high=0.5, labels=[0.2, 0.5])
+    @settings(max_examples=150, deadline=None)
+    def test_mask_matches_the_scalar_reference(self, rho, c, n, s_high, labels):
+        spec = MarketSpec(rho, c, n, binary_experiment_from_labels(0.0, 1.0))
+        mask = statics._reject_low_mask(spec, np.array(labels), s_high)
+        assert mask.tolist() == [reference._reject_low_feasible(spec, s, s_high) for s in labels]
+
+    @pytest.mark.parametrize("rho", [0.0, 1.0])
+    def test_degenerate_prior(self, rho):
+        with pytest.raises(DegeneratePrior):
+            binary_thresholds(MarketSpec(rho, 0.3, 2, binary_experiment_from_labels(0.2, 0.8)))
+
+    def test_uninformative_high_label(self):
+        uninformative = binary_experiment_from_labels(0.5, 0.5)
+        with pytest.raises(NotBinary, match="high label 0.5 is uninformative"):
+            binary_thresholds(MarketSpec(0.6, 0.3, 3, uninformative))
+        assert binary_thresholds(MarketSpec(0.3, 0.6, 3, uninformative)).s_L_dagger == 0.5
 
 
 class TestSweepBinary:
