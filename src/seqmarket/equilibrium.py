@@ -134,7 +134,9 @@ def _power(x, n):
 def geometric_sum(r, n):
     """``sum_{k=0}^{n-1} r**k`` for scalars or arrays, stable near ``r == 1``.
 
-    ``n`` is an int or an integer array broadcast against ``r``.
+    ``n`` is an int or an integer array broadcast against ``r``.  Within
+    1e-10 of 1 the sum is ``-expm1(n * log1p(-a)) / a`` with ``a = 1 - r``
+    (exact there by Sterbenz's lemma), and exactly ``n`` where ``r == 1``.
     """
     r_arr = np.asarray(r, dtype=float)
     gap = 1.0 - r_arr
@@ -143,8 +145,9 @@ def geometric_sum(r, n):
         return (1.0 - _power(r_arr, n)) / gap
     safe = np.where(near_one, 0.5, r_arr)
     closed = (1.0 - _power(safe, n)) / (1.0 - safe)
-    taylor = n * (1.0 - (n - 1) * (1.0 - r_arr) / 2.0)
-    out = np.where(near_one, taylor, closed)
+    a = np.where(near_one & (gap != 0.0), gap, 0.5)
+    near = np.where(gap == 0.0, n, -np.expm1(n * np.log1p(-a)) / a)
+    out = np.where(near_one, near, closed)
     return float(out) if np.isscalar(r) or out.ndim == 0 else out
 
 
@@ -264,23 +267,131 @@ def is_optimal_against(spec: MarketSpec, strategy: Strategy, interim: float) -> 
     return bool(_best_response_rows(strategy.as_array(), _acceptance_gaps(spec, interim)))
 
 
-# Grid points of the mixing-gap scan evaluated per block.  It bounds the
-# kernel's scratch memory whatever the batch size, and keeps each temporary
-# array (15 rows of 1025 doubles) under glibc's default 128 KiB mmap
-# threshold, so temporaries are reused from the heap instead of being
-# mapped, page-faulted and unmapped on every operation (about 3x slower).
+# Doubles per temporary array of the mixing-gap scan: a block of pairs times
+# the coarse points (496 rows of 33), or the cells one refinement step makes
+# (twice the cells it takes, so it takes at most a quarter of this).  It
+# bounds the kernel's scratch memory whatever the batch size, and keeps each
+# temporary under glibc's default 128 KiB mmap threshold, so temporaries are
+# reused from the heap instead of being mapped, page-faulted and unmapped on
+# every operation (about 3x slower).
 _GRID_BLOCK = 1 << 14
+_REFINE_STEP = _GRID_BLOCK // 4
+_COARSE_CELL = 32  # grid cells between the scan's first evaluated points
 _DEDUP_TOL = 1e-9
 _CHAIN_TOL = 1e-12
+# The discard bound of _root_free: its relative margin, and the limits below
+# which 1 - r, 1 - psi or a product is too close to 0 for that margin.
+_MARGIN = 1e-6
+_NEAR_ONE = 1e-7
+_THIN_PSI = 1e-8
+_TINY = 1e-290
 
 
-def _mixing_gaps(rho: float, c: float, tail_L, tail_H, p_L, p_H, n, alphas):
-    """Indifference gap at the cutoff outcome (masses ``p_L``, ``p_H``) of
-    cutoff strategies mixing with probability ``alphas`` there and accepting
-    the outcomes above (masses ``tail_L``, ``tail_H``)."""
+def _mixing_points(rho: float, c: float, tail_L, tail_H, p_L, p_H, n, alphas):
+    """At the cutoff outcome (masses ``p_L``, ``p_H``) of cutoff strategies
+    mixing with probability ``alphas`` there and accepting the outcomes above
+    (masses ``tail_L``, ``tail_H``): the interim belief's numerator and
+    denominator, the indifference gap, and the acceptance masses ``1 - r_H``
+    and ``1 - r_L``."""
     r_l = 1.0 - tail_L - alphas * p_L
     r_h = 1.0 - tail_H - alphas * p_H
-    return _gaps(c, p_L, p_H, interim_from_rejections(rho, r_l, r_h, n))
+    num = rho * geometric_sum(r_h, n)
+    den = (1.0 - rho) * geometric_sum(r_l, n)
+    return num, den, _gaps(c, p_L, p_H, num / (num + den)), 1.0 - r_h, 1.0 - r_l
+
+
+def _root_free(c: float, p_L, p_H, lo, hi):
+    """Whether the float gap provably has one strict sign at every grid point
+    of each cell, from the ``_mixing_points`` values ``lo`` and ``hi`` at the
+    cell's ends (``lo`` at the smaller mixing probability).
+
+    The gap has the sign of ``num*A - den*B`` with ``A = p_H(1-c)`` and
+    ``B = p_L c``.  The float ``r = (1 - tail) - alpha*p`` is nonincreasing in
+    alpha, since each rounding step is monotone, and the exact geometric sum
+    increases in ``r``; so across a cell ``num`` and ``den`` lie between their
+    end values, and ``num*A - den*B`` between ``num(b)A - den(a)B`` and
+    ``num(a)A - den(b)B``.  The floats stay within a relative 1e-7 of those
+    exact values, well inside the margin ``_MARGIN`` on each side: the closed
+    form of ``geometric_sum`` loses at most a few ulps over ``1 - r**n >= 1 - r``,
+    so under 1e-8 when ``1 - r >= 1e-7``; ``1 - psi`` loses a few ulps over
+    ``1 - psi``, so under 1e-7 when ``1 - psi >= 1e-8``; every other step loses
+    an ulp while its result stays normal, and the final difference of two
+    floats keeps their order.  A cell is therefore never discarded when a
+    term is not ``r == 1`` at the right end (where ``r == 1`` and ``G == n``
+    throughout) and has ``1 - r < 1e-7`` at the left end, when ``1 - psi``
+    may fall below 1e-8, or when a product of the gap that is not exactly
+    zero may come near underflow.
+    """
+    num_a, den_a, _, accept_H_a, accept_L_a = lo
+    num_b, den_b, _, accept_H_b, accept_L_b = hi
+    A, B = p_H * (1.0 - c), p_L * c
+    scale = num_a + den_a  # bounds num + den across the cell
+    normal = ((p_H == 0.0) | (c == 1.0) | (num_b * A >= _TINY * scale)) & (
+        (p_L == 0.0) | (c == 0.0) | (den_b * B >= _TINY * scale)
+    )
+    near_one = ((accept_H_b != 0.0) & (accept_H_a < _NEAR_ONE)) | (
+        (accept_L_b != 0.0) & (accept_L_a < _NEAR_ONE)
+    )
+    thin = den_b < _THIN_PSI * (num_a + den_b)
+    above = num_b * A * (1.0 - _MARGIN) > den_a * B * (1.0 + _MARGIN)
+    below = num_a * A * (1.0 + _MARGIN) < den_b * B * (1.0 - _MARGIN)
+    return (above | below) & normal & ~near_one & ~thin
+
+
+def _scan_hits(rho: float, c: float, tail_L, tail_H, p_L, p_H, n):
+    """The grid cells of each (market, cutoff) pair's mixing gap that hold a
+    root, as ``(pair, cell, change, g_lo)`` in (pair, cell) order: a cell
+    holds a root when its ends change sign (``change``) or its left point is
+    an exact interior zero.  ``g_lo`` is the gap at the cell's left point.
+
+    The list is that of a scan of every point of the
+    ``DEFAULT_MIXING_GRID``-cell grid, but most cells are discarded unseen:
+    the scan evaluates every ``_COARSE_CELL``-th grid point, then halves each
+    cell that ``_root_free`` cannot discard, at grid points, until single
+    grid cells remain, and applies the hit rule to those.  Pairs go in
+    blocks, and each block's cells are refined (last in, first out) before
+    the next block starts.
+    """
+    grid = np.linspace(0.0, 1.0, DEFAULT_MIXING_GRID + 1)
+    coarse = np.r_[np.arange(0, DEFAULT_MIXING_GRID, _COARSE_CELL), DEFAULT_MIXING_GRID]
+    found = [(np.empty(0, int), np.empty(0, int), np.empty(0, bool), np.empty(0))]
+    step = max(1, _GRID_BLOCK // coarse.size)
+    for start in range(0, tail_L.size, step):
+        blk = slice(start, start + step)
+        col = lambda a: a[blk, None]
+        values = _mixing_points(
+            rho, c, col(tail_L), col(tail_H), col(p_L), col(p_H), col(n), grid[coarse]
+        )
+        lo, hi = [v[:, :-1] for v in values], [v[:, 1:] for v in values]
+        pair, k = np.nonzero(~_root_free(c, col(p_L), col(p_H), lo, hi))
+        # A cell is its pair, its end grid indices and the five values at each
+        # end, so its end gaps sit at 5 and 10.
+        stack = [(pair + start, coarse[k], coarse[k + 1], *(v[pair, k] for v in lo + hi))]
+        while stack:
+            cells = stack.pop()
+            if cells[0].size > _REFINE_STEP:
+                stack.append(tuple(a[_REFINE_STEP:] for a in cells))
+                cells = tuple(a[:_REFINE_STEP] for a in cells)
+            single = cells[2] - cells[1] == 1
+            pair, cell, g0, g1 = (a[single] for a in (cells[0], cells[1], cells[5], cells[10]))
+            change = g0 * g1 < 0.0
+            hit = change | ((g0 == 0.0) & (cell > 0))
+            found.append((pair[hit], cell[hit], change[hit], g0[hit]))
+            pair, lo_k, hi_k, *ends = (a[~single] for a in cells)
+            if not pair.size:
+                continue
+            mid = (lo_k + hi_k) // 2
+            values = _mixing_points(
+                rho, c, tail_L[pair], tail_H[pair], p_L[pair], p_H[pair], n[pair], grid[mid]
+            )
+            lo = [np.concatenate(v) for v in zip(ends[:5], values)]
+            hi = [np.concatenate(v) for v in zip(values, ends[5:])]
+            pair, lo_k, hi_k = np.concatenate([pair, pair]), np.r_[lo_k, mid], np.r_[mid, hi_k]
+            keep = (hi_k - lo_k == 1) | ~_root_free(c, p_L[pair], p_H[pair], lo, hi)
+            stack.append(tuple(a[keep] for a in (pair, lo_k, hi_k, *lo, *hi)))
+    pair, cell, change, g_lo = map(np.concatenate, zip(*found))
+    order = np.lexsort((cell, pair))
+    return pair[order], cell[order], change[order], g_lo[order]
 
 
 def _solve_chains(rho: float, c: float, p_L: np.ndarray, p_H: np.ndarray, n: np.ndarray) -> list:
@@ -292,14 +403,18 @@ def _solve_chains(rho: float, c: float, p_L: np.ndarray, p_H: np.ndarray, n: np.
 
     Candidates, in the order they are found: every pure cutoff (never-accept
     included), then for each cutoff outcome the interior roots of its
-    indifference gap, scanned on a uniform grid of ``DEFAULT_MIXING_GRID``
-    cells in grid order.  A grid point where the gap is exactly zero is a
-    root; a cell whose end gaps have a negative product is bisected to
-    ``MIXING_ROOT_TOL``.  All roots are kept because the interim belief need
-    not be monotone in the mixing probability for general experiments.  A
-    candidate counts when it is a best response to its consistent belief.
-    Candidates within ``_DEDUP_TOL`` pointwise of an earlier kept one are
-    pooled, and the rest must form a selectivity chain.
+    indifference gap on a uniform grid of ``DEFAULT_MIXING_GRID`` cells, in
+    grid order.  A grid point where the gap is exactly zero is a root; a cell
+    whose end gaps have a negative product is bisected to
+    ``MIXING_ROOT_TOL``.  ``_scan_hits`` finds those cells without evaluating
+    most grid points: it discards a run of cells where a bound from the run's
+    end values proves that every grid point's gap has one strict sign, and
+    lists the same cells as a scan of every point.  All roots are kept
+    because the interim belief need not be monotone in the mixing
+    probability for general experiments.  A candidate counts when it is a
+    best response to its consistent belief.  Candidates within
+    ``_DEDUP_TOL`` pointwise of an earlier kept one are pooled, and the rest
+    must form a selectivity chain.
 
     The arithmetic is elementwise and in the same order as a one-market
     evaluation, so a market's records do not depend on the batch around it.
@@ -308,32 +423,11 @@ def _solve_chains(rho: float, c: float, p_L: np.ndarray, p_H: np.ndarray, n: np.
     B, m = p_L.shape
     alphas = np.linspace(0.0, 1.0, DEFAULT_MIXING_GRID + 1)
 
-    # The mixing-gap scan over (market, cutoff outcome) pairs, in blocks.
+    # The mixing-gap scan over (market, cutoff outcome) pairs.
     tail_L = np.stack([p_L[:, j + 1 :].sum(axis=1) for j in range(m)], axis=1).ravel()
     tail_H = np.stack([p_H[:, j + 1 :].sum(axis=1) for j in range(m)], axis=1).ravel()
     pair_L, pair_H, pair_n = p_L.ravel(), p_H.ravel(), np.repeat(n, m)
-    interior = (alphas[:-1] > 0.0) & (alphas[:-1] < 1.0)
-    pairs, cells, changes, g_cell = [np.empty(0, int)], [np.empty(0, int)], [np.empty(0, bool)], [np.empty(0)]
-    step = max(1, _GRID_BLOCK // alphas.size)
-    for start in range(0, B * m, step):
-        blk = slice(start, start + step)
-        col = lambda a: a[blk, None]
-        g = _mixing_gaps(
-            rho, c, col(tail_L), col(tail_H), col(pair_L), col(pair_H), col(pair_n), alphas
-        )
-        g0, g1 = g[:, :-1], g[:, 1:]
-        # A cell holds a root when its left point is an exact interior zero
-        # or its ends change sign; never both, since a zero end makes the
-        # product zero.  nonzero() lists the cells in found order.
-        change = g0 * g1 < 0.0
-        hit = change | ((g0 == 0.0) & interior)
-        if hit.any():
-            pair, cell = np.nonzero(hit)
-            pairs.append(pair + start)
-            cells.append(cell)
-            changes.append(change[pair, cell])
-            g_cell.append(g0[pair, cell])
-    pair, cell, change, g_lo = map(np.concatenate, (pairs, cells, changes, g_cell))
+    pair, cell, change, g_lo = _scan_hits(rho, c, tail_L, tail_H, pair_L, pair_H, pair_n)
 
     # Refine every bracket at once: bisection with the one-bracket stopping
     # rule (|gap| within MIXING_ROOT_TOL, or the cell narrower than 1e-16).
@@ -347,7 +441,9 @@ def _solve_chains(rho: float, c: float, p_L: np.ndarray, p_H: np.ndarray, n: np.
             break
         a, p = active, b_pair[active]
         mid = 0.5 * (lo[a] + hi[a])
-        g_mid = _mixing_gaps(rho, c, tail_L[p], tail_H[p], pair_L[p], pair_H[p], pair_n[p], mid)
+        g_mid = _mixing_points(
+            rho, c, tail_L[p], tail_H[p], pair_L[p], pair_H[p], pair_n[p], mid
+        )[2]
         done = (np.abs(g_mid) <= MIXING_ROOT_TOL) | (hi[a] - lo[a] < 1e-16)
         alpha[bracket[a[done]]] = mid[done]
         same = (g_lo[a] < 0.0) == (g_mid < 0.0)

@@ -5,7 +5,9 @@ This is the per-market loop the package used before the batched kernel in
 the uniform grid, one scalar bisection per bracket and a pairwise dedup.  It
 is slow (the ``n == 1`` exact-indifference case compares about a thousand
 candidates pairwise) but simple to read, and the kernel must reproduce its
-records bit for bit.
+records bit for bit.  ``full_scan_hits`` is the batched kernel's own scan
+before it learned to discard root-free cells: every grid point of every
+(market, cutoff) pair.
 
 It also keeps the scalar ``binary_thresholds``: a 1025-label scan and a
 60-step bisection, each label tested by building its binary experiment and
@@ -46,6 +48,29 @@ def mixing_gap_curve(spec: MarketSpec, j: int, alphas: np.ndarray) -> np.ndarray
     r_h = 1.0 - tail_h - alphas * p_h[j]
     psi = interim_from_rejections(spec.rho, r_l, r_h, spec.n)
     return psi * p_h[j] * (1.0 - spec.c) - (1.0 - psi) * p_l[j] * spec.c
+
+
+def full_scan_hits(rho: float, c: float, tail_L, tail_H, p_L, p_H, n):
+    """The hit cells of every (market, cutoff) pair's mixing gap on the full
+    grid, as ``(pair, cell, change, g_lo)`` in (pair, cell) order.
+
+    This is the kernel's scan before it discarded root-free cells: every one
+    of the 1025 grid points of every pair, a cell being a hit when its end
+    gaps change sign or its left point is an exact interior zero.  The
+    arguments are per-pair arrays: the masses accepted above the cutoff,
+    the cutoff outcome's masses and the market size.
+    """
+    alphas = np.linspace(0.0, 1.0, DEFAULT_MIXING_GRID + 1)
+    col = lambda a: np.asarray(a)[:, None]
+    r_l = 1.0 - col(tail_L) - alphas * col(p_L)
+    r_h = 1.0 - col(tail_H) - alphas * col(p_H)
+    psi = interim_from_rejections(rho, r_l, r_h, col(n))
+    g = psi * col(p_H) * (1.0 - c) - (1.0 - psi) * col(p_L) * c
+    g0, g1 = g[:, :-1], g[:, 1:]
+    change = g0 * g1 < 0.0
+    hit = change | ((g0 == 0.0) & (alphas[:-1] > 0.0))
+    pair, cell = np.nonzero(hit)
+    return pair, cell, change[pair, cell], g0[pair, cell]
 
 
 def bisect_mixing(spec: MarketSpec, j: int, lo: float, hi: float) -> float:

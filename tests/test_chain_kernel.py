@@ -3,24 +3,33 @@
 ``reference_solver.enumerate_equilibria`` is the one-market loop the kernel
 replaced.  Every record field (strategy, interim, r_L, r_H, surplus, cutoff,
 mixing probability) must match it exactly: the kernel does the same float
-operations in the same order, only over arrays.
+operations in the same order, only over arrays.  One layer down, the
+kernel's mixing-gap scan, which discards root-free cells unseen, must list
+the same hit cells as ``reference_solver.full_scan_hits``, which sees every
+grid point.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import reference_solver as reference
 from conftest import random_experiment
 from seqmarket.equilibrium import (
+    DEFAULT_MIXING_GRID,
     MarketSpec,
     Strategy,
     enumerate_chains,
     enumerate_equilibria,
     interim_belief,
+    interim_from_rejections,
     least_selective,
     most_selective,
+    _root_free,
+    _scan_hits,
 )
 from seqmarket.errors import DegeneratePrior, NoEquilibriumFound
 from seqmarket.experiment import build_experiment
@@ -137,3 +146,166 @@ def test_selectors_are_the_chain_ends():
     chain = enumerate_equilibria(spec)
     assert most_selective(spec) == chain[0]
     assert least_selective(spec) == chain[-1]
+
+
+def test_revealing_top_at_large_n():
+    """At the top cutoff of a revealing market ``r_L`` is exactly 1 at every
+    mixing probability, so the low term's sum is exactly ``n``."""
+    _assert_matches([revealing_market(n) for n in (10**6, 2**31, 2**53)])
+
+
+def test_interim_belief_near_one():
+    """A prior within 1e-9 of 1 leaves ``1 - psi`` below the scan's 1e-8
+    limit, where the discard bound does not hold and cells are split."""
+    exp = demo_market().experiment
+    _assert_matches(
+        [MarketSpec(1.0 - 1e-9, c, n, exp) for c in (0.5, 1.0 - 2e-9, 1.0 - 1e-12) for n in (2, 3, 50)]
+    )
+
+
+def test_tight_market_at_huge_n():
+    """Beyond 2**31 buyers the kernel and the reference both find no
+    equilibrium on the tight market (``r = 1 - alpha*p`` rounds too coarsely
+    there), and they must agree on that."""
+    specs = [tight_market(n) for n in (2**31, 2**53)]
+    _assert_matches(specs)
+    assert _kernel(specs) == [NoEquilibriumFound, NoEquilibriumFound]
+
+
+# The mixing-gap scan, pair by pair.
+
+SCAN_SIZES = [1, 2, 3, 10, 200, 10**6, 2**31, 2**53]
+# An outcome mass: 0, or u * 10**-e, so down to 1e-300.
+MASS = st.one_of(
+    st.just(0.0), st.builds(lambda u, e: u * 10.0**-e, st.floats(0.0, 1.0), st.integers(0, 300))
+)
+
+
+def _gap(rho, c, pair, alpha):
+    tail_L, tail_H, p_L, p_H, n = pair
+    psi = interim_from_rejections(rho, 1.0 - tail_L - alpha * p_L, 1.0 - tail_H - alpha * p_H, n)
+    return psi * p_H * (1.0 - c) - (1.0 - psi) * p_L * c
+
+
+def _indifferent_cost(rho, pair, k):
+    """A reservation value at which the pair's gap is exactly 0 at grid point
+    ``k``, searched within 32 ulps of the indifferent posterior; ``None``
+    when none of them is exact."""
+    tail_L, tail_H, p_L, p_H, n = pair
+    alpha = k / DEFAULT_MIXING_GRID
+    psi = interim_from_rejections(rho, 1.0 - tail_L - alpha * p_L, 1.0 - tail_H - alpha * p_H, n)
+    if not psi * p_H + (1.0 - psi) * p_L > 0.0:
+        return None
+    lo = hi = psi * p_H / (psi * p_H + (1.0 - psi) * p_L)
+    for _ in range(32):
+        for c in (lo, hi):
+            if _gap(rho, c, pair, alpha) == 0.0:
+                return float(c)
+        lo, hi = np.nextafter(lo, 0.0), np.nextafter(hi, 1.0)
+    return None
+
+
+def _batch(rho, c, *pairs):
+    """``rho``, ``c`` and per-pair arrays from pairs ``(tail_L, tail_H, p_L, p_H, n)``."""
+    return (rho, c, *map(np.array, zip(*pairs)))
+
+
+@st.composite
+def scan_batches(draw):
+    """``rho``, ``c`` and per-pair ``(tail_L, tail_H, p_L, p_H, n)`` arrays
+    with revealing tops (``p_L = tail_L = 0``), zero-``p_H`` outcomes, masses
+    down to 1e-300, ``c`` of 0, 1 and ``rho``, uninformative pairs, sizes up
+    to 2**53, and sometimes a reservation value that makes one pair's gap
+    exactly 0 at an interior grid point."""
+    rho = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    pairs = []
+    for _ in range(draw(st.integers(1, 6))):
+        p_L, p_H = draw(MASS), draw(MASS)
+        share = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+        tail_L, tail_H = draw(share) * (1.0 - p_L), draw(share) * (1.0 - p_H)
+        n = draw(st.sampled_from(SCAN_SIZES))
+        if draw(st.booleans()):  # uninformative: both terms alike
+            tail_H, p_H = tail_L, p_L
+        pairs.append((tail_L, tail_H, p_L, p_H, n))
+    c = draw(st.one_of(st.just(0.0), st.just(1.0), st.just(rho), st.floats(0.0, 1.0)))
+    if draw(st.booleans()):
+        c = _indifferent_cost(rho, pairs[0], draw(st.integers(1, DEFAULT_MIXING_GRID - 1))) or c
+    return _batch(rho, c, *pairs)
+
+
+def _assert_same_hits(rho, c, *pairs):
+    got = _scan_hits(rho, c, *pairs)
+    want = reference.full_scan_hits(rho, c, *pairs)
+    assert [a.tolist() for a in got] == [a.tolist() for a in want]
+    return want
+
+
+@given(scan_batches())
+# Each example lists other hits than the full scan when the discard bound
+# loses, in turn, its margin, its 1 - psi limit and its underflow limit.
+@example(_batch(0.5, 1.0009775171065483e-15, (0.0, 0.0, 1.0, 1e-15, 2), (0.0, 0.0, 0.0, 0.0, 1)))
+@example(
+    _batch(
+        0.9999999999999585, 0.8163601231800399,
+        (0.325308095680109, 0.36510223091108873, 0.06843808577128761, 1.2565096061564724e-14, 200),
+    )
+)
+@example(
+    _batch(
+        0.31582937101109626, 0.07142857142857142,
+        (0.4066351196001362, 0.45637778863886086, 9e-323, 2.5e-323, 10),
+    )
+)
+@settings(max_examples=400, deadline=None)
+def test_scan_hits_match_the_full_scan(batch):
+    _assert_same_hits(*batch)
+
+
+# End values of a cell (numerator, denominator, gap, 1 - r_H, 1 - r_L) that
+# the bound alone discards, and edits of them that each guard must keep.
+ROOT_FREE_LO = (1.0, 1.0, 0.3, 0.5, 0.5)
+ROOT_FREE_HI = (0.9, 0.9, 0.27, 0.6, 0.6)
+
+
+@pytest.mark.parametrize(
+    "p_L, lo, hi, discarded",
+    [
+        (0.2, {}, {}, True),
+        (0.2, {3: 0.0}, {3: 0.0}, True),  # r_H == 1 across the cell: G_H == n
+        (0.2, {3: 5e-8}, {}, False),  # r_H within 1e-7 of 1
+        (0.2, {4: 0.0}, {4: 1e-9}, False),  # r_L leaves 1 inside the cell
+        (0.2, {1: 1e-9}, {1: 5e-10}, False),  # 1 - psi below 1e-8
+        (1e-295, {}, {}, False),  # (1 - psi) p_L c near underflow
+        (0.0, {}, {}, True),  # ... but exactly 0
+    ],
+)
+def test_root_free_guards(p_L, lo, hi, discarded):
+    edit = lambda base, change: tuple(change.get(i, v) for i, v in enumerate(base))
+    got = _root_free(0.5, p_L, 0.8, edit(ROOT_FREE_LO, lo), edit(ROOT_FREE_HI, hi))
+    assert bool(got) is discarded
+
+
+def test_scan_hits_at_exact_grid_zeros():
+    """Seeded pairs whose gap is exactly 0 at an interior grid point, each
+    with a reservation value of its own."""
+    rng = np.random.default_rng(9)
+    zeros = 0
+    for _ in range(60):
+        rho = float(rng.uniform(0.05, 0.95))
+        pair = (*rng.uniform(0.0, 0.4, 2), *rng.uniform(0.05, 0.5, 2), int(rng.choice([2, 3, 10, 200])))
+        k = int(rng.integers(1, DEFAULT_MIXING_GRID))
+        c = _indifferent_cost(rho, pair, k)
+        if c is None:
+            continue
+        pair, cell, change, g_lo = _assert_same_hits(*_batch(rho, c, pair))
+        zeros += bool(((cell == k) & ~change & (g_lo == 0.0)).any())
+    assert zeros >= 10
+
+
+def test_scan_hits_where_every_cell_is_a_zero():
+    """At one buyer and on an uninformative outcome with ``rho == c == 0.5``
+    the gap is exactly 0 at every grid point: every interior cell is a hit."""
+    demo = _assert_same_hits(*_batch(0.5, 0.2, (0.2, 0.8, 0.8, 0.2, 1)))
+    flat = _assert_same_hits(*_batch(0.5, 0.5, (0.25, 0.25, 0.5, 0.5, 7)))
+    for pair, cell, change, g_lo in (demo, flat):
+        assert cell.tolist() == list(range(1, DEFAULT_MIXING_GRID)) and not change.any()

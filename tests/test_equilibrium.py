@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from seqmarket.equilibrium import (
     benchmarks,
     best_response,
     enumerate_equilibria,
+    geometric_sum,
     interim_belief,
     interim_from_rejections,
     is_optimal_against,
@@ -45,6 +47,28 @@ class TestRejectionProbs:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             rejection_probs(demo_market(), Strategy((0.0, 0.5, 1.0)))
+
+
+class TestGeometricSum:
+    def test_near_one_at_huge_n(self):
+        """Within 1e-10 of 1, ``n (1 - r)`` may be far above 1: at n = 2**53
+        the sum is ``1 / (1 - r)`` and the interim belief a probability."""
+        r = 1.0 - 5e-11
+        a = 1.0 - r
+        total = geometric_sum(r, 2**53)
+        assert total > 0.0 and abs(total - 1.0 / a) <= 1e-15 / a
+        assert 0.0 <= interim_from_rejections(0.5, r, 0.3, 2**53) <= 1.0
+
+    def test_near_one_matches_exact_sums(self):
+        for a in (1e-11, 3e-11, 9.9e-11):
+            r = 1.0 - a
+            for n in (1, 2, 7, 1000):
+                exact = (1 - Fraction(r) ** n) / (1 - Fraction(r))
+                assert abs(Fraction(geometric_sum(r, n)) - exact) <= Fraction(1e-15) * exact
+
+    def test_exactly_one_sums_to_n(self):
+        assert geometric_sum(1.0, 2**53) == 2.0**53
+        assert geometric_sum(np.array([1.0, 0.5]), np.array([2**31, 2])).tolist() == [2.0**31, 1.5]
 
 
 class TestInterimBelief:
