@@ -3,7 +3,7 @@
 Commands: solve, sweep-n, sweep-binary, spread, design, simulate, and repro
 (bundled reference scenarios).  Every command is deterministic given its
 config, so repeated runs produce byte-identical CSVs.  Exit codes: 0 success,
-1 numerical failure, 2 input error.
+1 numerical or resource failure, 2 input error.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ class DesignConfig:
 @dataclass(frozen=True)
 class SimulateConfig:
     trials: int = _key("int", lo=1)
-    # montecarlo keys its streams by the low 64 bits of the seed.
+    # montecarlo keys its streams by 64 bits of the seed.
     seed: int = _key("int", lo=0, hi=2**64 - 1)
     focal_buyer: int | None = _key("int", None, lo=0)
     strategy: "str | tuple[float, ...]" = _key("strategy", "most", choices=SELECTORS, lo=0.0, hi=1.0)
@@ -604,6 +604,9 @@ def main(argv: "list[str] | None" = None) -> int:
         return 2
     except (RuntimeError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"resource failure: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     for path in paths:
         print(path)

@@ -28,12 +28,39 @@ strategy takes at most two.
 smaller than the focal buyer's accepts.  A buyer whose key equals the focal
 buyer's counts as visited after it; such a tie has probability about
 ``(n - 1) * 2**-53`` per trial.
+
+*Scheduling.*  ``simulate`` runs the blocks on ``workers`` threads: the
+caller is worker 0, and worker ``w`` runs blocks ``w, w + workers, ...``.
+The draws and the array arithmetic release the interpreter lock, so the
+workers fill their blocks on separate cores.  The caller adds each block's
+counts and sums in block order, taking the other workers' results from one
+bounded queue each, so every estimate, the float surplus sums included, is
+the same for any number of workers.  ``workers`` is the number of CPUs in
+the caller's affinity mask, at most the number of blocks and at most
+``MAX_WORKERS``.  For the call, worker ``w`` is pinned to the ``w``-th CPU
+of that mask, and the caller gets its mask back before ``simulate``
+returns.  The other workers are threads started once per call; an
+exception in any worker is raised in the caller, and every thread is
+joined before ``simulate`` returns.
+
+*Memory.*  Each block draws into one ``BLOCK_TRIALS x n`` float buffer, and
+every draw overwrites it: the signal uniforms become one boolean mask per
+chain step before the tie-breakers are drawn, and the visit-order keys are
+drawn once the accept decisions are formed.  ``simulate`` allocates the
+``workers`` buffers in one array and frees it before it returns, so at most
+``MAX_WORKERS`` float arrays of a block are alive, and nothing the call
+holds grows with the number of blocks.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import queue
+import threading
+from contextlib import suppress
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 # Loaded with the module (numpy defers it until first use), so the first
@@ -44,6 +71,10 @@ from .errors import LengthMismatch, NoFocalBuyer
 from .equilibrium import MarketSpec, Strategy
 
 BLOCK_TRIALS = 1 << 14
+# With three workers the draw buffers take no more memory than the three
+# block arrays (signal, tie-break and visit-order uniforms) one block used
+# to hold.
+MAX_WORKERS = 3
 
 
 @dataclass(frozen=True)
@@ -55,6 +86,9 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError(f"trials={self.trials} must be at least 1")
+        # The block streams are keyed by 64 bits of the seed.
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed={self.seed} must lie in [0, 2**64)")
 
 
 @dataclass(frozen=True)
@@ -77,8 +111,7 @@ class SimEstimate:
 
 
 def _block_rng(seed: int, block: int) -> Generator:
-    key = ((block + 1) << 64) | (seed & ((1 << 64) - 1))
-    return Generator(Philox(key=key))
+    return Generator(Philox(key=((block + 1) << 64) | seed))
 
 
 def _binomial_se(successes: float, count: float) -> float:
@@ -86,6 +119,90 @@ def _binomial_se(successes: float, count: float) -> float:
         return math.nan
     p = successes / count
     return math.sqrt(max(p * (1.0 - p), 0.0) / count)
+
+
+def _affinity() -> set[int] | None:
+    """The calling thread's CPU affinity mask, None where the OS has none."""
+    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+
+
+def _pin(cpus: set[int] | None) -> None:
+    """Keep the calling thread on ``cpus``, as far as the OS allows."""
+    if cpus is not None:
+        with suppress(OSError):
+            os.sched_setaffinity(0, cpus)
+
+
+def _worker_count() -> int:
+    """The CPUs the calling thread may run on, at most ``MAX_WORKERS``."""
+    mask = _affinity()
+    return min(len(mask) if mask is not None else os.cpu_count() or 1, MAX_WORKERS)
+
+
+def _block_sums(
+    spec: MarketSpec,
+    sigma: np.ndarray,
+    cum_l: np.ndarray,
+    cum_h: np.ndarray,
+    steps: list[int],
+    focal: int | None,
+    seed: int,
+    trials: int,
+    block: int,
+    buf: np.ndarray,
+) -> tuple:
+    """Draw block ``block`` of ``trials`` into the leading rows of ``buf``
+    (one row per trial, one column per buyer) and return its counts and
+    sums: High trials, trades in each state, the surplus and its square,
+    and visits of the focal buyer, all and in the High state."""
+    size = min(BLOCK_TRIALS, trials - block * BLOCK_TRIALS)
+    buf = buf[:size]
+    rng = _block_rng(seed, block)
+    theta_high = rng.random(size) < spec.rho
+    sig_u = rng.random(out=buf)
+    below = [sig_u <= np.where(theta_high, cum_h[j], cum_l[j])[:, None] for j in steps]
+    tie_u = rng.random(out=buf)
+
+    # The threshold chain on accept decisions; the xor form of
+    # ``where(below, tie_u <= sigma[j], accepts)`` runs without branches.
+    accepts = tie_u <= sigma[-1]
+    for j, below_j in zip(steps, below):
+        accepts ^= ((tie_u <= sigma[j]) ^ accepts) & below_j
+    trade = accepts.any(axis=1)
+    gain = np.where(theta_high, 1.0 - spec.c, -spec.c) * trade
+    sums = (
+        int(theta_high.sum()),
+        int((trade & theta_high).sum()),
+        int((trade & ~theta_high).sum()),
+        float(gain.sum()),
+        float((gain * gain).sum()),
+    )
+    if focal is None:
+        return (*sums, 0, 0)
+    order_u = rng.random(out=buf)
+    reached = ~(accepts & (order_u < order_u[:, focal : focal + 1])).any(axis=1)
+    return (*sums, int(reached.sum()), int((reached & theta_high).sum()))
+
+
+def _run_worker(run, buf, blocks, first, stride, cpu, results, stop) -> None:
+    """Run blocks ``first, first + stride, ...`` on ``cpu`` and put each
+    block's sums, or the exception that ended the run, into ``results``."""
+    try:
+        _pin(cpu)
+        for block in range(first, blocks, stride):
+            if stop.is_set():
+                return
+            results.put(run(block, buf))
+    except Exception as exc:
+        results.put(exc)
+
+
+def _drain(results: queue.Queue) -> None:
+    try:
+        while True:
+            results.get_nowait()
+    except queue.Empty:
+        pass
 
 
 def simulate(spec: MarketSpec, strategy: Strategy, config: SimConfig) -> SimEstimate:
@@ -103,59 +220,67 @@ def simulate(spec: MarketSpec, strategy: Strategy, config: SimConfig) -> SimEsti
     if focal is not None and not 0 <= focal < spec.n:
         raise NoFocalBuyer(f"focal buyer {focal} outside 0..{spec.n - 1}")
 
-    n = spec.n
-    sigma = strategy.as_array()
-    cum_l = np.cumsum(spec.experiment.p_L_array())
-    cum_h = np.cumsum(spec.experiment.p_H_array())
-    m = spec.experiment.m
-    steps = [j for j in range(m - 2, -1, -1) if sigma[j] != sigma[j + 1]]
-
-    n_high = 0
-    n_trade_high = 0
-    n_trade_low = 0
-    surplus_sum = 0.0
-    surplus_sq_sum = 0.0
-    n_visited = 0
-    n_visited_high = 0
-
-    # Every block draws into the same buffers (the signal, tie-break and
-    # visit-order uniforms), so no two blocks' draws are alive at once and
-    # the peak memory does not hang on how the allocator reuses freed blocks.
-    draws = np.empty((3, min(BLOCK_TRIALS, config.trials), n))
-    remaining = config.trials
-    block = 0
-    while remaining > 0:
-        size = min(BLOCK_TRIALS, remaining)
-        rng = _block_rng(config.seed, block)
-        theta_high = rng.random(size) < spec.rho
-        sig_u = rng.random(out=draws[0, :size])
-        tie_u = rng.random(out=draws[1, :size])
-
-        # The threshold chain on accept decisions; the xor form of
-        # ``where(below, tie_u <= sigma[j], accepts)`` runs without branches.
-        accepts = tie_u <= sigma[m - 1]
-        for j in steps:
-            below = sig_u <= np.where(theta_high, cum_h[j], cum_l[j])[:, None]
-            accepts ^= ((tie_u <= sigma[j]) ^ accepts) & below
-        trade = accepts.any(axis=1)
-
-        n_high += int(theta_high.sum())
-        n_trade_high += int((trade & theta_high).sum())
-        n_trade_low += int((trade & ~theta_high).sum())
-        gain = np.where(theta_high, 1.0 - spec.c, -spec.c) * trade
-        surplus_sum += float(gain.sum())
-        surplus_sq_sum += float((gain * gain).sum())
-
-        if focal is not None:
-            order_u = rng.random(out=draws[2, :size])
-            reached = ~(accepts & (order_u < order_u[:, focal : focal + 1])).any(axis=1)
-            n_visited += int(reached.sum())
-            n_visited_high += int((reached & theta_high).sum())
-
-        remaining -= size
-        block += 1
-
     trials = config.trials
+    sigma = strategy.as_array()
+    steps = [j for j in range(spec.experiment.m - 2, -1, -1) if sigma[j] != sigma[j + 1]]
+    run = partial(
+        _block_sums,
+        spec,
+        sigma,
+        np.cumsum(spec.experiment.p_L_array()),
+        np.cumsum(spec.experiment.p_H_array()),
+        steps,
+        focal,
+        config.seed,
+        trials,
+    )
+    blocks = -(-trials // BLOCK_TRIALS)
+    workers = min(_worker_count(), blocks)
+
+    # Allocated by the caller: buffers the workers allocated came from
+    # per-thread malloc arenas, and the commands that ran after a
+    # simulation in the same process measured slower and larger.
+    buffers = np.empty((workers, min(BLOCK_TRIALS, trials), spec.n))
+    stop = threading.Event()
+    queues = [queue.Queue(maxsize=1) for _ in range(1, workers)]
+    threads = []
+    # Worker w, the caller included, is pinned to the w-th CPU of the mask
+    # for the call.  Left to itself, a virtualised scheduler can keep two
+    # workers on one vCPU while the other idles.
+    mask = _affinity() if workers > 1 else None
+    cpus = [{cpu} for cpu in sorted(mask)] if mask else [None]
+    try:
+        _pin(cpus[0])
+        for w in range(1, workers):
+            thread = threading.Thread(
+                target=_run_worker,
+                args=(run, buffers[w], blocks, w, workers, cpus[w % len(cpus)], queues[w - 1], stop),
+            )
+            thread.start()
+            threads.append(thread)
+
+        totals = (0, 0, 0, 0.0, 0.0, 0, 0)
+        for block in range(blocks):
+            w = block % workers
+            if w == 0:
+                result = run(block, buffers[0])
+            else:
+                result = queues[w - 1].get()
+                if isinstance(result, Exception):
+                    raise result
+            totals = tuple(total + part for total, part in zip(totals, result))
+    finally:
+        # After ``stop`` is set a worker puts at most once more, and the
+        # drain leaves its queue room for that, so every join returns.
+        stop.set()
+        for results in queues:
+            _drain(results)
+        for thread in threads:
+            thread.join()
+        _pin(mask)
+        del buffers
+
+    n_high, n_trade_high, n_trade_low, surplus_sum, surplus_sq_sum, n_visited, n_visited_high = totals
     n_low = trials - n_high
     n_trade = n_trade_high + n_trade_low
     n_no_trade = trials - n_trade

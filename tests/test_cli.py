@@ -218,6 +218,16 @@ class TestExitCodes:
         code = cli.main(["solve", "--config", str(write_config(tmp_path, DEMO_DOC)), "--out", str(tmp_path)])
         assert code == 1
 
+    def test_out_of_memory_is_exit_one(self, tmp_path, capsys):
+        """A valid config whose draw buffer cannot be allocated (10**15
+        buyers): malloc refuses it at once, so no memory is touched."""
+        doc = _doc({"n": 10**15}, simulate={"trials": 10, "seed": 0, "strategy": [0.0, 1.0]})
+        code = cli.main(["simulate", "--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("resource failure:") and len(err.splitlines()) == 1
+        assert not (tmp_path / "simulate.csv").exists()
+
     def test_section8_without_a_unique_equilibrium_is_exit_one(self, tmp_path, monkeypatch, capsys):
         real = cli.enumerate_chains
 
@@ -230,12 +240,13 @@ class TestExitCodes:
 
 
 def test_cli_import_leaves_scipy_optimize_out():
-    """No command needs the LP solver, so importing the CLI must not load it."""
+    """No command needs the LP solver or an executor pool, so importing the
+    CLI must load neither."""
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    probe = "import sys, seqmarket.cli; print('scipy.optimize' in sys.modules)"
+    probe = "import sys, seqmarket.cli; print('scipy.optimize' in sys.modules, 'concurrent.futures' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 class TestRepro:

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -65,6 +67,14 @@ class TestExactCorners:
     def test_estimate_interim_needs_focal_buyer(self):
         with pytest.raises(NoFocalBuyer):
             estimate_interim(demo_market(), SIGMA_SELECTIVE, SimConfig(trials=10, seed=0))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits(self, seed):
+        """The streams are keyed by 64 bits of the seed, so a seed outside
+        them would silently rerun another seed's streams."""
+        with pytest.raises(ValueError, match="seed"):
+            SimConfig(trials=10, seed=seed)
+        assert SimConfig(trials=10, seed=seed % 2**64).seed == seed % 2**64
 
 
 class TestOracleAgreement:
@@ -161,13 +171,17 @@ class TestReferenceKernel:
         assert np.cumsum(MASS_DEFICIT.p_L_array())[-1] < 0.95
 
     @pytest.mark.parametrize("name", sorted(EQUIVALENCE_CASES))
-    def test_estimates_equal_the_reference(self, name):
+    def test_estimates_equal_the_reference(self, monkeypatch, name):
         spec, accept, focals = EQUIVALENCE_CASES[name]
         strategy = Strategy(accept)
-        # Two full blocks and a partial third.
+        # Two full blocks and a partial third, on one to three workers and on
+        # more workers than blocks.
         for focal in (None, *focals):
             config = SimConfig(trials=2 * montecarlo.BLOCK_TRIALS + 77, seed=len(name), focal_buyer=focal)
-            assert _fields(simulate(spec, strategy, config)) == _fields(reference_simulate(spec, strategy, config))
+            expected = _fields(reference_simulate(spec, strategy, config))
+            for workers in (1, 2, 3, 4):
+                monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+                assert _fields(simulate(spec, strategy, config)) == expected, workers
 
     @pytest.mark.parametrize("other_key, reached", [(0.5, True), (0.25, False)])
     def test_visit_order_tie_counts_the_other_buyer_after(self, monkeypatch, other_key, reached):
@@ -185,6 +199,50 @@ class TestReferenceKernel:
         _script(monkeypatch, [0.9], [[u]], [[0.5]])
         est = simulate(demo_market(n=1), Strategy((0.0, 1.0)), SimConfig(trials=1, seed=0))
         assert est.trade_prob_L == float(trades)
+
+
+class TestScheduling:
+    """Blocks run on the caller and worker threads; the estimates do not
+    depend on how many, no thread outlives the call, and the caller gets
+    its CPU affinity back."""
+
+    def test_many_blocks_on_more_workers_than_cpus(self, monkeypatch):
+        """Ten blocks on four workers (more than the CPUs of a small
+        machine) with the interpreter switching threads as often as it can:
+        a lost or reordered block would move an estimate."""
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: 4)
+        spec, accept, _ = EQUIVALENCE_CASES["mixing"]
+        config = SimConfig(trials=9 * montecarlo.BLOCK_TRIALS + 5, seed=8, focal_buyer=2)
+        before, mask = threading.active_count(), montecarlo._affinity()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            estimate = simulate(spec, Strategy(accept), config)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before and montecarlo._affinity() == mask
+        assert _fields(estimate) == _fields(reference_simulate(spec, Strategy(accept), config))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_a_failing_block_is_raised_in_the_caller(self, monkeypatch, workers, failing):
+        """Block 1 runs on a worker thread when there are two or more, block
+        0 always on the caller; either way the error reaches the caller and
+        every worker is joined."""
+        real = montecarlo._block_rng
+
+        def block_rng(seed, block):
+            if block == failing:
+                raise RuntimeError(f"block {block} failed")
+            return real(seed, block)
+
+        monkeypatch.setattr(montecarlo, "_block_rng", block_rng)
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+        before, mask = threading.active_count(), montecarlo._affinity()
+        config = SimConfig(trials=2 * montecarlo.BLOCK_TRIALS + 77, seed=0, focal_buyer=1)
+        with pytest.raises(RuntimeError, match=f"block {failing} failed"):
+            simulate(demo_market(), SIGMA_SELECTIVE, config)
+        assert threading.active_count() == before and montecarlo._affinity() == mask
 
 
 class _Scripted:
