@@ -1,9 +1,10 @@
 """Byte-for-byte CLI outputs on the bundled markets.
 
 The files under ``tests/golden/`` lock the CSVs of the repro fixtures, of
-``sweep-n`` to ``n_max = 200``, of 201-point ``sweep-binary`` curves and of
-``design`` with a 401-point grid, so a change to the solver that moves any
-printed digit shows up here.  The ``simulate`` cases lock the Monte Carlo
+``sweep-n`` to ``n_max = 200``, of 201-point ``sweep-binary`` curves, of
+``design`` with a 401-point grid, of ``solve`` on four markets and of one
+``spread``, so a change to the solver that moves any printed digit shows up
+here.  The ``simulate`` cases lock the Monte Carlo
 stream: the demo, tight and seeded markets with and without a focal buyer,
 an explicit non-monotone strategy, and trial counts whose last block of
 ``BLOCK_TRIALS`` is partial.  The irrelevance margin ``F`` of the design CSVs
@@ -82,6 +83,10 @@ def _cases() -> dict[str, tuple[list[str], dict | None, str]]:
         config = _config(market(), design={"emit_grid": True, "grid_points": 401})
         for csv in ("design.csv", "design_grid.csv"):
             cases[f"{csv[:-4]}_{name}.csv"] = (["design"], config, csv)
+    for name in ("demo", "tight", "revealing", "seeded_m5_non_ic"):
+        cases[f"solve_{name}.csv"] = (["solve"], _config(markets[name]()), "solve.csv")
+    spread = {"index": 1, "lr_low": 0.25, "lr_high": [9, 1], "selector": "most"}
+    cases["spread_demo.csv"] = (["spread"], _config(demo_market(), spread=spread), "spread.csv")
     simulations = {
         "demo_focal0": (demo_market(), 50_000, 11, 0, "most"),
         "tight50": (tight_market(50), 20_000, 3, None, "most"),
