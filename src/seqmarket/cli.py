@@ -20,6 +20,7 @@ import numpy as np
 from . import design as design_mod
 from . import montecarlo
 from .equilibrium import (
+    SELECTORS,
     Equilibrium,
     MarketSpec,
     Strategy,
@@ -34,7 +35,6 @@ from .scenarios import demo_market, revealing_market, tight_market
 from .statics import spread_surplus_delta, surplus_vs_n, sweep_binary
 
 SCHEMA_VERSION = 1
-SELECTORS = ("most", "least")
 
 
 def _key(kind: str, default=MISSING, **meta):
@@ -262,138 +262,107 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(out: Path, name: str, header: "list[str]", rows: "list[list]") -> list[Path]:
-    """Writes ``out/name.csv``; returns its path in a list."""
+def _write_csv(out: Path, name: str, rows: "list[dict]") -> list[Path]:
+    """Writes ``out/name.csv``, headed by the keys of the first of ``rows``
+    (each a dict from column name to cell); returns its path in a list."""
     path = out / f"{name}.csv"
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+    lines = [",".join(rows[0])]
+    lines.extend(",".join(_fmt(cell) for cell in row.values()) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return [path]
 
 
-def _equilibrium_row(eq: Equilibrium) -> list:
-    return [eq.cutoff_index, eq.mixing_prob, eq.interim, eq.r_L, eq.r_H, eq.surplus]
-
-
-EQUILIBRIUM_HEADER = ["cutoff_index", "mixing_prob", "interim", "r_L", "r_H", "surplus"]
+def _trade_probs(spec: MarketSpec, eq: Equilibrium) -> tuple[float, float]:
+    """The probabilities that the asset trades at all in state H and in state L."""
+    return 1.0 - eq.r_H**spec.n, 1.0 - eq.r_L**spec.n
 
 
 def _cmd_solve(config: RunConfig, out: Path) -> list[Path]:
-    chain = enumerate_equilibria(config.market)
-    return _write_csv(out, "solve", EQUILIBRIUM_HEADER, [_equilibrium_row(eq) for eq in chain])
+    # Each column is the Equilibrium attribute of its name.
+    names = ("cutoff_index", "mixing_prob", "interim", "r_L", "r_H", "surplus")
+    rows = [{name: getattr(eq, name) for name in names} for eq in enumerate_equilibria(config.market)]
+    return _write_csv(out, "solve", rows)
 
 
 def _cmd_sweep_n(config: RunConfig, out: Path) -> list[Path]:
     result = surplus_vs_n(config.market, config.sweep_n.n_max)
     bench = benchmarks(config.market)
     rows = [
-        [
-            p.n,
-            p.most_selective_surplus,
-            p.least_selective_surplus,
-            bench.no_info,
-            bench.full_info,
-            result.limit_class.value,
-            result.predicted_limit,
-            result.eventual_monotone_from,
-        ]
+        {
+            "n": p.n,
+            "most_selective_surplus": p.most_selective_surplus,
+            "least_selective_surplus": p.least_selective_surplus,
+            "no_info": bench.no_info,
+            "full_info": bench.full_info,
+            "limit_class": result.limit_class.value,
+            "predicted_limit": result.predicted_limit,
+            "eventual_monotone_from": result.eventual_monotone_from,
+        }
         for p in result.records
     ]
-    return _write_csv(
-        out,
-        "sweep_n",
-        [
-            "n",
-            "most_selective_surplus",
-            "least_selective_surplus",
-            "no_info",
-            "full_info",
-            "limit_class",
-            "predicted_limit",
-            "eventual_monotone_from",
-        ],
-        rows,
-    )
+    return _write_csv(out, "sweep_n", rows)
 
 
 def _cmd_sweep_binary(config: RunConfig, out: Path) -> list[Path]:
-    cfg = config.sweep_binary
-    curve = sweep_binary(config.market, cfg.dimension, list(cfg.grid), cfg.selector)
-    bench = benchmarks(config.market)
+    cfg, market = config.sweep_binary, config.market
+    curve = sweep_binary(market, cfg.dimension, list(cfg.grid), cfg.selector)
+    bench = benchmarks(market)
     rows = [
-        [
-            cfg.dimension,
-            p.s_L,
-            p.s_H,
-            config.market.rho,
-            config.market.c,
-            config.market.n,
-            cfg.selector,
-            p.equilibrium.cutoff_index,
-            p.equilibrium.mixing_prob,
-            p.surplus,
-            bench.no_info,
-            bench.full_info,
-        ]
+        {
+            "dimension": cfg.dimension,
+            "s_L": p.s_L,
+            "s_H": p.s_H,
+            "rho": market.rho,
+            "c": market.c,
+            "n": market.n,
+            "selector": cfg.selector,
+            "cutoff_index": p.equilibrium.cutoff_index,
+            "mixing_prob": p.equilibrium.mixing_prob,
+            "surplus": p.surplus,
+            "no_info": bench.no_info,
+            "full_info": bench.full_info,
+        }
         for p in curve.points
     ]
-    return _write_csv(
-        out,
-        "sweep_binary",
-        ["dimension", "s_L", "s_H", "rho", "c", "n", "selector", "cutoff_index", "mixing_prob", "surplus", "no_info", "full_info"],
-        rows,
-    )
+    return _write_csv(out, "sweep_binary", rows)
 
 
 def _cmd_spread(config: RunConfig, out: Path) -> list[Path]:
     cfg = config.spread
-    params = LocalSpreadParams(
-        index=cfg.index,
-        lr_low=OddsRatio(*cfg.lr_low),
-        lr_high=OddsRatio(*cfg.lr_high),
-    )
+    params = LocalSpreadParams(index=cfg.index, lr_low=OddsRatio(*cfg.lr_low), lr_high=OddsRatio(*cfg.lr_high))
     result = spread_surplus_delta(config.market, params, cfg.selector)
-    return _write_csv(
-        out,
-        "spread",
-        ["index", "lr_low", "lr_high", "selector", "override", "predicted_sign", "surplus_before", "surplus_after", "delta"],
-        [
-            [
-                cfg.index,
-                params.lr_low.as_float(),
-                params.lr_high.as_float(),
-                cfg.selector,
-                result.override.value,
-                result.predicted_sign.value,
-                result.surplus_before,
-                result.surplus_after,
-                result.delta,
-            ]
-        ],
-    )
+    row = {
+        "index": cfg.index,
+        "lr_low": params.lr_low.as_float(),
+        "lr_high": params.lr_high.as_float(),
+        "selector": cfg.selector,
+        "override": result.override.value,
+        "predicted_sign": result.predicted_sign.value,
+        "surplus_before": result.surplus_before,
+        "surplus_after": result.surplus_after,
+        "delta": result.delta,
+    }
+    return _write_csv(out, "spread", [row])
 
 
-DESIGN_HEADER = ["D", "threshold_label", "mixing_weight", "is_ic", "is_irrelevant", "F", "obeyed_surplus"]
-
-
-def _design_row(report: design_mod.GarblingReport) -> list:
-    return [
-        report.garbling.D,
-        report.garbling.threshold_label,
-        report.garbling.mixing_weight,
-        report.is_ic,
-        report.is_irrelevant,
-        report.irrelevance_margin,
-        report.obeyed_surplus,
-    ]
+def _design_row(report: design_mod.GarblingReport) -> dict:
+    return {
+        "D": report.garbling.D,
+        "threshold_label": report.garbling.threshold_label,
+        "mixing_weight": report.garbling.mixing_weight,
+        "is_ic": report.is_ic,
+        "is_irrelevant": report.is_irrelevant,
+        "F": report.irrelevance_margin,
+        "obeyed_surplus": report.obeyed_surplus,
+    }
 
 
 def _cmd_design(config: RunConfig, out: Path) -> list[Path]:
     report = design_mod.optimal_garbling(config.market)
-    paths = _write_csv(out, "design", DESIGN_HEADER, [_design_row(report)])
+    paths = _write_csv(out, "design", [_design_row(report)])
     if config.design.emit_grid:
         reports = design_mod.garbling_grid(config.market, config.design.grid_points)
-        paths += _write_csv(out, "design_grid", DESIGN_HEADER, [_design_row(r) for r in reports])
+        paths += _write_csv(out, "design_grid", [_design_row(r) for r in reports])
     return paths
 
 
@@ -408,9 +377,8 @@ def _cmd_simulate(config: RunConfig, out: Path) -> list[Path]:
         strategy,
         montecarlo.SimConfig(trials=cfg.trials, seed=cfg.seed, focal_buyer=cfg.focal_buyer),
     )
-    names = [f.name for f in fields(est) if f.name != "trials"]
-    row = [cfg.trials, cfg.seed, *(getattr(est, name) for name in names)]
-    return _write_csv(out, "simulate", ["trials", "seed", *names], [row])
+    estimates = {f.name: getattr(est, f.name) for f in fields(est) if f.name != "trials"}
+    return _write_csv(out, "simulate", [{"trials": cfg.trials, "seed": cfg.seed, **estimates}])
 
 
 def _repro_table1(out: Path) -> list[Path]:
@@ -418,17 +386,17 @@ def _repro_table1(out: Path) -> list[Path]:
     chain = enumerate_equilibria(spec)
     low, high = spec.experiment.outcomes
     rows = [
-        [
-            name,
-            eq.strategy.accept[0],
-            eq.strategy.accept[1],
-            eq.interim,
-            posterior(eq.interim, high),
-            posterior(eq.interim, low),
-        ]
+        {
+            "equilibrium": name,
+            "accept_low": eq.strategy.accept[0],
+            "accept_high": eq.strategy.accept[1],
+            "interim": eq.interim,
+            "posterior_high": posterior(eq.interim, high),
+            "posterior_low": posterior(eq.interim, low),
+        }
         for name, eq in (("least_selective", chain[-1]), ("most_selective", chain[0]))
     ]
-    return _write_csv(out, "table1", ["equilibrium", "accept_low", "accept_high", "interim", "posterior_high", "posterior_low"], rows)
+    return _write_csv(out, "table1", rows)
 
 
 def _repro_table2(out: Path) -> list[Path]:
@@ -437,12 +405,15 @@ def _repro_table2(out: Path) -> list[Path]:
     most, least = chain[0], chain[-1]
     bench = benchmarks(spec)
     trade_all = 1.0 if spec.rho > spec.c else 0.0
-    rows = [
-        ["trade_prob_H", trade_all, 1.0 - least.r_H**spec.n, 1.0 - most.r_H**spec.n, 1.0],
-        ["trade_prob_L", trade_all, 1.0 - least.r_L**spec.n, 1.0 - most.r_L**spec.n, 0.0],
-        ["total_surplus", bench.no_info, least.surplus, most.surplus, bench.full_info],
-    ]
-    return _write_csv(out, "table2", ["quantity", "no_info", "least_selective", "most_selective", "full_info"], rows)
+    # One column per benchmark or equilibrium, its cells in "quantity" order.
+    columns = {
+        "quantity": ("trade_prob_H", "trade_prob_L", "total_surplus"),
+        "no_info": (trade_all, trade_all, bench.no_info),
+        "least_selective": (*_trade_probs(spec, least), least.surplus),
+        "most_selective": (*_trade_probs(spec, most), most.surplus),
+        "full_info": (1.0, 0.0, bench.full_info),
+    }
+    return _write_csv(out, "table2", [dict(zip(columns, cells)) for cells in zip(*columns.values())])
 
 
 def _repro_section8(out: Path) -> list[Path]:
@@ -453,55 +424,43 @@ def _repro_section8(out: Path) -> list[Path]:
         if len(chain) != 1:
             raise NoEquilibriumFound(f"expected a unique equilibrium at n={n}, found {len(chain)}")
         eq = chain[0]
-        p_trade_h = 1.0 - eq.r_H**n
-        p_trade_l = 1.0 - eq.r_L**n
+        p_trade_h, p_trade_l = _trade_probs(spec, eq)
         p_trade = spec.rho * p_trade_h + (1.0 - spec.rho) * p_trade_l
         p_h_trade = spec.rho * p_trade_h / p_trade if p_trade > 0 else float("nan")
         p_no = 1.0 - p_trade
         p_h_no = spec.rho * eq.r_H**n / p_no if p_no > 0 else float("nan")
         rows.append(
-            [
-                n,
-                eq.cutoff_index,
-                eq.mixing_prob,
-                eq.strategy.accept[0],
-                eq.strategy.accept[1],
-                eq.interim,
-                eq.r_L,
-                eq.r_H,
-                eq.surplus,
-                p_trade_h,
-                p_trade_l,
-                p_h_trade,
-                p_h_no,
-            ]
+            {
+                "n": n,
+                "cutoff_index": eq.cutoff_index,
+                "mixing_prob": eq.mixing_prob,
+                "sigma_low": eq.strategy.accept[0],
+                "sigma_high": eq.strategy.accept[1],
+                "interim": eq.interim,
+                "r_L": eq.r_L,
+                "r_H": eq.r_H,
+                "surplus": eq.surplus,
+                "trade_prob_H": p_trade_h,
+                "trade_prob_L": p_trade_l,
+                "prob_H_given_trade": p_h_trade,
+                "prob_H_given_no_trade": p_h_no,
+            }
         )
-    return _write_csv(
-        out,
-        "section8",
-        [
-            "n",
-            "cutoff_index",
-            "mixing_prob",
-            "sigma_low",
-            "sigma_high",
-            "interim",
-            "r_L",
-            "r_H",
-            "surplus",
-            "trade_prob_H",
-            "trade_prob_L",
-            "prob_H_given_trade",
-            "prob_H_given_no_trade",
-        ],
-        rows,
-    )
+    return _write_csv(out, "section8", rows)
 
 
 def _repro_modified_example(out: Path) -> list[Path]:
     chains = enumerate_chains([revealing_market(n) for n in range(1, 51)])
-    rows = [[n, chain[0].surplus, chain[-1].surplus, 0.4 * (1.0 - 0.25**n)] for n, chain in enumerate(chains, 1)]
-    return _write_csv(out, "modified_example", ["n", "most_selective_surplus", "least_selective_surplus", "closed_form_most"], rows)
+    rows = [
+        {
+            "n": n,
+            "most_selective_surplus": chain[0].surplus,
+            "least_selective_surplus": chain[-1].surplus,
+            "closed_form_most": 0.4 * (1.0 - 0.25**n),
+        }
+        for n, chain in enumerate(chains, 1)
+    ]
+    return _write_csv(out, "modified_example", rows)
 
 
 REPRO_FIXTURES = {

@@ -23,6 +23,8 @@ from .experiment import FiniteExperiment
 INDIFFERENCE_TOL = 1e-9
 MIXING_ROOT_TOL = 1e-12
 DEFAULT_MIXING_GRID = 1024
+# Which end of an equilibrium chain to report: the most or least selective.
+SELECTORS = ("most", "least")
 
 
 @dataclass(frozen=True)
@@ -590,12 +592,18 @@ def least_selective(spec: MarketSpec) -> Equilibrium:
     return enumerate_equilibria(spec)[-1]
 
 
+def chain_index(selector: str) -> int:
+    """The index, in a chain sorted most selective first, of the equilibrium
+    that ``selector`` picks; a ValueError unless it is one of ``SELECTORS``."""
+    if selector not in SELECTORS:
+        raise ValueError(f"selector must be {' or '.join(map(repr, SELECTORS))}, got {selector!r}")
+    return 0 if selector == "most" else -1
+
+
 def select_equilibrium(spec: MarketSpec, selector: str) -> Equilibrium:
-    """``selector`` is ``"most"`` or ``"least"`` (selective)."""
-    if selector not in ("most", "least"):
-        raise ValueError(f"selector must be 'most' or 'least', got {selector!r}")
-    chain = enumerate_equilibria(spec)
-    return chain[0] if selector == "most" else chain[-1]
+    """The most or least selective equilibrium, as ``selector`` says."""
+    end = chain_index(selector)
+    return enumerate_equilibria(spec)[end]
 
 
 def single_buyer_surplus(rho: float, c: float, experiment: FiniteExperiment) -> float:

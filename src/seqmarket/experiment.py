@@ -27,6 +27,7 @@ from .errors import (
 
 COLUMN_SUM_TOL = 1e-9
 GARBLING_FEASIBILITY_TOL = 1e-9
+EQUAL_RATIO_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -272,8 +273,9 @@ def apply_local_spread(
     return _validated(new_outcomes)
 
 
-def merge_equal_ratios(exp: FiniteExperiment, tol: float = 1e-12) -> FiniteExperiment:
-    """Collapse adjacent outcomes whose likelihood ratios agree within ``tol``.
+def merge_equal_ratios(exp: FiniteExperiment) -> FiniteExperiment:
+    """Collapse adjacent outcomes whose likelihood ratios agree within
+    ``EQUAL_RATIO_TOL``.
 
     Construction keeps equal-ratio outcomes distinct; this is the explicit
     normalisation that pools them.
@@ -284,7 +286,7 @@ def merge_equal_ratios(exp: FiniteExperiment, tol: float = 1e-12) -> FiniteExper
             pl, ph = merged[-1]
             cross = abs(ph * o.p_L - o.p_H * pl)
             scale = max(ph + pl, o.p_H + o.p_L)
-            if cross <= tol * scale:
+            if cross <= EQUAL_RATIO_TOL * scale:
                 merged[-1][0] += o.p_L
                 merged[-1][1] += o.p_H
                 continue

@@ -67,8 +67,8 @@ import numpy as np
 # simulation does not pay for importing it.
 from numpy.random import Generator, Philox
 
-from .errors import LengthMismatch, NoFocalBuyer
-from .equilibrium import MarketSpec, Strategy
+from .errors import NoFocalBuyer
+from .equilibrium import MarketSpec, Strategy, _check_length
 
 BLOCK_TRIALS = 1 << 14
 # With three workers the draw buffers take no more memory than the three
@@ -212,10 +212,7 @@ def simulate(spec: MarketSpec, strategy: Strategy, config: SimConfig) -> SimEsti
     of High-quality trials among those where the focal buyer is reached
     before anyone accepts.
     """
-    if strategy.m != spec.experiment.m:
-        raise LengthMismatch(
-            f"strategy has {strategy.m} entries for an experiment with {spec.experiment.m} outcomes"
-        )
+    _check_length(spec, strategy)
     focal = config.focal_buyer
     if focal is not None and not 0 <= focal < spec.n:
         raise NoFocalBuyer(f"focal buyer {focal} outside 0..{spec.n - 1}")

@@ -17,6 +17,7 @@ from .equilibrium import (
     Strategy,
     _irrelevance_display,
     benchmarks,
+    chain_index,
     enumerate_chains,
     # Unused here since the sweeps batch their markets, but kept importable
     # from statics: perfbench's tracer test checks that statics binds it.
@@ -37,6 +38,7 @@ from .experiment import (
 )
 
 MONOTONE_TAIL_TOL = 1e-12
+BLACKWELL_TOL = 1e-12
 
 
 class LimitClass(enum.Enum):
@@ -322,38 +324,28 @@ def sweep_binary(
 
     ``dimension == "bad"`` varies the low label over ``[0, 0.5]`` holding the
     high label fixed; ``"good"`` varies the high label over ``[0.5, 1]``.
+    The dimension, the selector and every label are checked before any
+    point is solved.
     """
     s_low, s_high = _binary_labels(spec, "sweep-binary")
     if dimension not in ("bad", "good"):
         raise ValueError(f"dimension must be 'bad' or 'good', got {dimension!r}")
-    labels, specs, invalid = [], [], None
+    end = chain_index(selector)
+    labels = []
     for value in grid:
-        try:
-            v = float(value)
-            if dimension == "bad":
-                if not 0.0 <= v <= 0.5:
-                    raise GridOutOfRange(f"bad-news label {v} outside [0, 0.5]")
-                sl, sh = v, s_high
-            else:
-                if not 0.5 <= v <= 1.0:
-                    raise GridOutOfRange(f"good-news label {v} outside [0.5, 1]")
-                sl, sh = s_low, v
-            exp = binary_experiment_from_labels(sl, sh)
-            if selector not in ("most", "least"):
-                raise ValueError(f"selector must be 'most' or 'least', got {selector!r}")
-        except ValueError as exc:
-            invalid = exc
-            break
-        labels.append((sl, sh))
-        specs.append(spec.with_experiment(exp))
-    # Solve the points before an invalid one first, so a solver failure
-    # there is raised ahead of it, as a point-by-point loop would.
-    chains = enumerate_chains(specs)
-    if invalid is not None:
-        raise invalid
+        v = float(value)
+        if dimension == "bad":
+            if not 0.0 <= v <= 0.5:
+                raise GridOutOfRange(f"bad-news label {v} outside [0, 0.5]")
+            labels.append((v, s_high))
+        else:
+            if not 0.5 <= v <= 1.0:
+                raise GridOutOfRange(f"good-news label {v} outside [0.5, 1]")
+            labels.append((s_low, v))
+    specs = [spec.with_experiment(binary_experiment_from_labels(sl, sh)) for sl, sh in labels]
     points = []
-    for (sl, sh), chain in zip(labels, chains):
-        eq = chain[0] if selector == "most" else chain[-1]
+    for (sl, sh), chain in zip(labels, enumerate_chains(specs)):
+        eq = chain[end]
         points.append(SweepPoint(sl, sh, eq, eq.surplus))
     return SweepCurve(dimension, selector, tuple(points))
 
@@ -363,7 +355,6 @@ def single_buyer_blackwell_check(
     base: FiniteExperiment,
     rho_grid: "list[float]",
     c_grid: "list[float]",
-    tol: float = 1e-12,
 ) -> bool:
     """Single-buyer surplus dominance of ``better`` over ``base`` on a grid.
 
@@ -383,6 +374,6 @@ def single_buyer_blackwell_check(
         raise NotComparable("experiments are not Blackwell ordered")
     for rho in rho_grid:
         for c in c_grid:
-            if single_buyer_surplus(rho, c, better) < single_buyer_surplus(rho, c, base) - tol:
+            if single_buyer_surplus(rho, c, better) < single_buyer_surplus(rho, c, base) - BLACKWELL_TOL:
                 return False
     return True

@@ -396,6 +396,20 @@ class TestSweepBinary:
         with pytest.raises(GridOutOfRange):
             sweep_binary(demo_market(), "good", [0.3], "most")
 
+    def test_labels_are_checked_before_any_point_is_solved(self, monkeypatch):
+        def unreachable(specs):
+            raise AssertionError("solved a point before the grid was checked")
+
+        monkeypatch.setattr(statics, "enumerate_chains", unreachable)
+        with pytest.raises(GridOutOfRange, match="bad-news label 0.7"):
+            sweep_binary(tight_market(2**31), "bad", [0.2, 0.7], "most")
+        with pytest.raises(GridOutOfRange, match="good-news label 0.3"):
+            sweep_binary(demo_market(), "good", [0.6, 0.3], "least")
+
+    def test_invalid_selector_is_rejected_on_an_empty_grid(self):
+        with pytest.raises(ValueError, match="selector must be 'most' or 'least', got 'neither'"):
+            sweep_binary(demo_market(), "bad", [], "neither")
+
     def test_decreasing_tail_past_the_boundary(self):
         # Once bad news is strictly past the regime boundary, so that
         # rejection is actually played and adverse selection binds, further
