@@ -364,8 +364,8 @@ INVALID_INPUTS = [
      _doc({"experiment": [{"p_L": 0.5, "p_H": 0.2}, {"p_L": 0.3, "p_H": 0.3}, {"p_L": 0.2, "p_H": 0.5}]},
           sweep_binary=_SWEEP_BINARY), [],
      "error: sweep-binary needs a binary experiment, got 3 outcomes"),
-    # The tight market at n = 2**31 has no solvable point here: the label
-    # 0.7 is rejected before the valid point 0.2 is solved.
+    # At n = 2**31 the tight market's point 0.2 cannot be solved, so this
+    # exits 2 only if the label 0.7 is rejected before any point is solved.
     ("grid_label_out_of_range", "sweep-binary",
      _doc({"c": 0.6, "n": 2**31}, sweep_binary={"dimension": "bad", "grid": [0.2, 0.7]}), [],
      "error: bad-news label 0.7 outside [0, 0.5]"),
