@@ -13,11 +13,10 @@ from .equilibrium import (
     enumerate_chains,
     enumerate_equilibria,
     interim_belief,
-    least_selective,
-    most_selective,
     rejection_probs,
     select_equilibrium,
     single_buyer_surplus,
+    solve_chains,
     total_surplus,
 )
 from .experiment import (
@@ -27,6 +26,7 @@ from .experiment import (
     Outcome,
     apply_local_spread,
     binary_experiment_from_labels,
+    binary_masses_from_labels,
     build_experiment,
     is_blackwell_geq_binary,
     is_garbling_of,

@@ -267,7 +267,11 @@ def _write_csv(out: Path, name: str, rows: "list[dict]") -> list[Path]:
     (each a dict from column name to cell); returns its path in a list."""
     path = out / f"{name}.csv"
     lines = [",".join(rows[0])]
-    lines.extend(",".join(_fmt(cell) for cell in row.values()) for row in rows)
+    # Most cells are floats: format them here, ahead of _fmt's type tests.
+    lines.extend(
+        ",".join(f"{cell:.12g}" if type(cell) is float else _fmt(cell) for cell in row.values())
+        for row in rows
+    )
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return [path]
 

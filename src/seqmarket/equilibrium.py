@@ -51,8 +51,12 @@ class MarketSpec:
         return MarketSpec(self.rho, self.c, self.n, experiment)
 
     def require_interior_prior(self) -> None:
-        if not 0.0 < self.rho < 1.0:
-            raise DegeneratePrior(f"equilibrium routines need rho in (0, 1), got {self.rho}")
+        _require_interior_prior(self.rho)
+
+
+def _require_interior_prior(rho: float) -> None:
+    if not 0.0 < rho < 1.0:
+        raise DegeneratePrior(f"equilibrium routines need rho in (0, 1), got {rho}")
 
 
 @dataclass(frozen=True)
@@ -544,33 +548,63 @@ def _pool_near_duplicates(row: np.ndarray, accept: np.ndarray, size: np.ndarray,
     return keep
 
 
-def enumerate_chains(specs: Sequence[MarketSpec]) -> list[tuple[Equilibrium, ...]]:
-    """``enumerate_equilibria`` of every market in ``specs``, in order.
+def solve_chains(
+    rho: "float | Sequence[float]", c: "float | Sequence[float]", p_L: np.ndarray, p_H: np.ndarray, n
+) -> list[tuple[Equilibrium, ...]]:
+    """The equilibrium chains of ``B`` markets given as arrays, in input order.
 
-    Markets sharing ``rho``, ``c`` and the outcome count are solved together
-    in one batch.  If any market fails, raises what the first failing one
-    raises.
+    ``p_L`` and ``p_H`` are ``(B, m)`` outcome masses in likelihood-ratio
+    order.  An outcome without mass in either state is not an outcome of its
+    market, so a row can hold fewer than ``m`` outcomes.  ``rho``, ``c`` and
+    ``n`` give one value per market, or one value for all of them.  Markets
+    that share ``rho``, ``c`` and their outcome count are solved together in
+    one batch.  If any market fails, raises what the first failing one
+    raises: ``DegeneratePrior`` unless ``0 < rho < 1``, or
+    ``NoEquilibriumFound``.
     """
-    results: list = [None] * len(specs)
+    size = len(p_L)
+    rhos = [rho] * size if np.ndim(rho) == 0 else list(rho)
+    values = [c] * size if np.ndim(c) == 0 else list(c)
+    n = np.broadcast_to(np.asarray(n), (size,))
+    kept = (p_L + p_H) > 0.0
     groups: dict[tuple[float, float, int], list[int]] = {}
-    for i, spec in enumerate(specs):
+    for i, key in enumerate(zip(rhos, values, kept.sum(axis=1).tolist())):
+        groups.setdefault(key, []).append(i)
+    results: list = [None] * size
+    for (rho_g, c_g, m), idx in groups.items():
         try:
-            spec.require_interior_prior()
+            _require_interior_prior(rho_g)
         except DegeneratePrior as exc:
-            results[i] = exc
+            for i in idx:
+                results[i] = exc
             continue
-        groups.setdefault((spec.rho, spec.c, spec.experiment.m), []).append(i)
-    for (rho, c, m), idx in groups.items():
-        masses = np.array([specs[i].experiment.mass_pairs() for i in idx], dtype=float)
-        p_L = np.ascontiguousarray(masses[:, :, 0])
-        p_H = np.ascontiguousarray(masses[:, :, 1])
-        n = np.array([specs[i].n for i in idx])
-        for i, chain in zip(idx, _solve_chains(rho, c, p_L, p_H, n)):
+        rows = np.array(idx)
+        group_L, group_H = p_L[rows], p_H[rows]
+        if m < p_L.shape[1]:
+            keep = kept[rows]
+            group_L, group_H = group_L[keep].reshape(-1, m), group_H[keep].reshape(-1, m)
+        for i, chain in zip(idx, _solve_chains(rho_g, c_g, group_L, group_H, n[rows])):
             results[i] = chain
     for result in results:
         if isinstance(result, Exception):
             raise result
     return results
+
+
+def enumerate_chains(specs: Sequence[MarketSpec]) -> list[tuple[Equilibrium, ...]]:
+    """``enumerate_equilibria`` of every market in ``specs``, in order, by
+    one ``solve_chains`` call: experiments with fewer outcomes than the
+    largest are padded with massless ones.  If any market fails, raises what
+    the first failing one raises.
+    """
+    pairs = [spec.experiment.mass_pairs() for spec in specs]
+    m = max(map(len, pairs), default=0)
+    masses = np.array([p + ((0.0, 0.0),) * (m - len(p)) for p in pairs], dtype=float)
+    masses = masses.reshape(len(specs), m, 2)
+    return solve_chains(
+        [spec.rho for spec in specs], [spec.c for spec in specs],
+        masses[:, :, 0], masses[:, :, 1], [spec.n for spec in specs],
+    )
 
 
 def enumerate_equilibria(spec: MarketSpec) -> tuple[Equilibrium, ...]:
@@ -582,14 +616,6 @@ def enumerate_equilibria(spec: MarketSpec) -> tuple[Equilibrium, ...]:
     (within 1e-9 pointwise) are pooled.
     """
     return enumerate_chains([spec])[0]
-
-
-def most_selective(spec: MarketSpec) -> Equilibrium:
-    return enumerate_equilibria(spec)[0]
-
-
-def least_selective(spec: MarketSpec) -> Equilibrium:
-    return enumerate_equilibria(spec)[-1]
 
 
 def chain_index(selector: str) -> int:

@@ -127,13 +127,19 @@ class FiniteExperiment:
 
 
 def _ratio_cmp_exact(a: "tuple[float, float]", b: "tuple[float, float]") -> int:
-    """Exact likelihood-ratio order of two ``(p_L, p_H)`` pairs.
+    """Exact likelihood-ratio order of two ``(p_L, p_H)`` pairs of
+    nonnegative finite floats.
 
-    Floats are dyadic rationals, so Fraction cross products compare the
-    ratios exactly and transitively (which float products cannot guarantee).
+    Where the float cross products differ they decide.  Rounding to nearest
+    is monotone (``x <= y`` gives ``fl(x) <= fl(y)``, through underflow too),
+    so ``fl(x) < fl(y)`` can only come from ``x < y``: a strict float
+    inequality is the exact one.  Only equal float products can hide an
+    exact inequality; there the Fraction cross products decide, exactly and
+    transitively, since floats are dyadic rationals.
     """
-    lhs = Fraction(a[1]) * Fraction(b[0])
-    rhs = Fraction(b[1]) * Fraction(a[0])
+    lhs, rhs = a[1] * b[0], b[1] * a[0]
+    if lhs == rhs:
+        lhs, rhs = Fraction(a[1]) * Fraction(b[0]), Fraction(b[1]) * Fraction(a[0])
     return (lhs > rhs) - (lhs < rhs)
 
 
@@ -188,23 +194,85 @@ def build_experiment(
     return _validated([Outcome(_label(a, b), a, b) for a, b in kept])
 
 
-def binary_experiment_from_labels(s_low: float, s_high: float) -> FiniteExperiment:
-    """Binary experiment with the given labels.
+# Each label's legal half-interval: [0, 0.5] for the low one, [0.5, 1] for the high one.
+_LABEL_MIN = np.array([0.0, 0.5])
+_LABEL_MAX = np.array([0.5, 1.0])
+
+
+def binary_masses_from_labels(s_low, s_high) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The outcome masses of the binary experiments with labels
+    ``(s_low, s_high)``, for arrays of label pairs (or scalars, broadcast).
+
+    Returns ``(B, 2)`` arrays ``p_L`` and ``p_H`` and a ``(B, 2)`` mask of
+    the outcomes that keep mass, each row in likelihood-ratio order.  An
+    outcome without mass keeps its place, with masses 0.
 
     The labels pin the masses: with ``w`` the total mass of the high outcome
     under the half/half mixture of states, the label identity
-    ``(2 - w) * s_low + w * s_high = 1`` gives ``w``.  Requires
-    ``s_low <= 0.5 <= s_high`` for nonnegative masses.
+    ``(2 - w) * s_low + w * s_high = 1`` gives ``w``.  Labels less than
+    1e-15 apart are the uninformative corner, two outcomes of mass
+    ``(0.5, 0.5)``.  The rest is what ``build_experiment`` does with the two
+    mass pairs, in the same float operations: the column sums ``a + b``
+    (``math.fsum`` of two floats), the renormalisation and the stable exact
+    ratio order, which compares the float cross products and calls
+    ``_ratio_cmp_exact`` only where they are equal.
+
+    Raises, for the first failing label pair in input order, what building
+    that pair alone raises: ``NotBinary`` unless
+    ``0 <= s_low <= 0.5 <= s_high <= 1``, else what ``build_experiment``
+    raises on its two mass pairs.
     """
-    if not 0.0 <= s_low <= 0.5 or not 0.5 <= s_high <= 1.0:
-        raise NotBinary(f"labels ({s_low}, {s_high}) outside the legal half-intervals")
-    if s_high - s_low < 1e-15:
-        # Uninformative corner: both labels 0.5.
-        return build_experiment([(0.5, 0.5), (0.5, 0.5)])
-    w = (1.0 - 2.0 * s_low) / (s_high - s_low)
-    low = ((2.0 - w) * (1.0 - s_low), (2.0 - w) * s_low)
-    high = (w * (1.0 - s_high), w * s_high)
-    return build_experiment([low, high])
+    labels = np.empty((np.broadcast(s_low, s_high).size, 2))
+    labels[:, 0], labels[:, 1] = s_low, s_high
+    inside = (labels >= _LABEL_MIN) & (labels <= _LABEL_MAX)
+    legal = inside[:, 0] & inside[:, 1]
+    # An illegal pair computes as the corner, then raises below.
+    s = labels if legal.all() else np.where(legal[:, None], labels, 0.5)
+    span = s[:, 1] - s[:, 0]
+    corner = span < 1e-15
+    w = (1.0 - 2.0 * s[:, 0]) / np.maximum(span, 1e-15)
+    # raw[b, k] is outcome k's (p_L, p_H) before renormalisation.
+    raw = np.empty((len(s), 2, 2))
+    raw[:, :, 0] = 1.0 - s
+    raw[:, :, 1] = s
+    raw *= np.stack((2.0 - w, w), axis=1)[:, :, None]
+    raw[corner] = 0.5
+    sums = raw[:, 0] + raw[:, 1]
+    kept = raw[:, :, 0] + raw[:, :, 1] > 0.0
+    masses = raw / sums[:, None, :]
+    # Outcome 1 goes first iff its ratio is exactly below outcome 0's.
+    both = kept[:, 0] & kept[:, 1]
+    high_low = masses[:, 1, 1] * masses[:, 0, 0]
+    low_high = masses[:, 0, 1] * masses[:, 1, 0]
+    swap = both & (high_low < low_high)
+    for b in np.flatnonzero(both & (high_low == low_high)):
+        swap[b] = _ratio_cmp_exact(*masses[b, ::-1].tolist()) < 0
+    masses[swap] = masses[swap, ::-1]
+    kept_sums = masses[:, 0] + masses[:, 1]
+    failed = (
+        ~legal
+        | (raw < 0.0).any(axis=(1, 2))
+        | (np.abs(sums - 1.0) > COLUMN_SUM_TOL).any(axis=1)
+        | (np.abs(kept_sums - 1.0) > 1e-12).any(axis=1)
+    )
+    if failed.any():
+        b = int(np.argmax(failed))
+        if not legal[b]:
+            s_low, s_high = labels[b].tolist()
+            raise NotBinary(f"labels ({s_low}, {s_high}) outside the legal half-intervals")
+        build_experiment(raw[b].tolist())  # fails the same check, so raises
+    return masses[:, :, 0], masses[:, :, 1], kept
+
+
+def binary_experiment_from_labels(s_low: float, s_high: float) -> FiniteExperiment:
+    """Binary experiment with the given labels: the one-pair case of
+    ``binary_masses_from_labels``, whose label identity needs
+    ``s_low <= 0.5 <= s_high`` for nonnegative masses.  A label of 0.5 can
+    leave one outcome without mass, and so a one-outcome experiment.
+    """
+    p_L, p_H, kept = binary_masses_from_labels(s_low, s_high)
+    pairs = zip(p_L[0].tolist(), p_H[0].tolist(), kept[0].tolist())
+    return FiniteExperiment(tuple(Outcome(_label(a, b), a, b) for a, b, k in pairs if k))
 
 
 def posterior(interim: float, outcome: Outcome) -> float:

@@ -26,13 +26,14 @@ from .equilibrium import (
     rejection_probs,
     select_equilibrium,
     single_buyer_surplus,
+    solve_chains,
 )
 from .experiment import (
     FiniteExperiment,
     LocalSpreadParams,
     OddsRatio,
     apply_local_spread,
-    binary_experiment_from_labels,
+    binary_masses_from_labels,
     is_blackwell_geq_binary,
     is_garbling_of,
 )
@@ -224,25 +225,32 @@ def _reject_low_mask(spec: MarketSpec, s_low: np.ndarray, s_high: float) -> np.n
     bad-news label in ``s_low``, with the high label fixed at ``s_high``.
 
     The boundary condition: under the accept-only-high strategy, the low
-    signal's posterior odds stay at or below the reservation odds.  The masses
-    are those of ``binary_experiment_from_labels(s, s_high)``, renormalised by
-    their two-term column sums as ``build_experiment`` does; the uninformative
-    corner is two outcomes of mass ``(0.5, 0.5)``.  Where a label leaves one
-    outcome without mass the experiment is not binary, and rejection is
+    signal's posterior odds stay at or below the reservation odds.  The
+    masses are those of ``binary_masses_from_labels``.  Where a label leaves
+    one outcome without mass the experiment is not binary, and rejection is
     feasible iff ``rho <= c``.
     """
-    corner = s_high - s_low < 1e-15
-    s_lo = np.where(corner, 0.5, s_low)
-    s_hi = np.where(corner, 0.5, s_high)
-    w = np.divide(1.0 - 2.0 * s_lo, s_hi - s_lo, out=np.ones_like(s_lo), where=~corner)
-    low_L, low_H = (2.0 - w) * (1.0 - s_lo), (2.0 - w) * s_lo
-    high_L, high_H = w * (1.0 - s_hi), w * s_hi
-    binary = (low_L + low_H > 0.0) & (high_L + high_H > 0.0)
-    sum_L, sum_H = low_L + high_L, low_H + high_H
-    psi = interim_from_rejections(spec.rho, 1.0 - high_L / sum_L, 1.0 - high_H / sum_H, spec.n)
-    lhs = psi * (low_H / sum_H) * (1.0 - spec.c)
-    rhs = (1.0 - psi) * (low_L / sum_L) * spec.c
-    return np.where(binary, lhs <= rhs + 1e-15, spec.rho <= spec.c)
+    p_L, p_H, kept = binary_masses_from_labels(s_low, s_high)
+    psi = interim_from_rejections(spec.rho, 1.0 - p_L[:, 1], 1.0 - p_H[:, 1], spec.n)
+    lhs = psi * p_H[:, 0] * (1.0 - spec.c)
+    rhs = (1.0 - psi) * p_L[:, 0] * spec.c
+    return np.where(kept[:, 0] & kept[:, 1], lhs <= rhs + 1e-15, spec.rho <= spec.c)
+
+
+# Bisection steps whose midpoints one evaluation of the boundary condition covers.
+_BISECTION_LEVELS = 6
+
+
+def _bisection_midpoints(lo: float, hi: float, levels: int) -> list[float]:
+    """Every midpoint that ``levels`` bisection steps from ``[lo, hi]`` can
+    visit, in heap order: the interval of entry ``i`` splits at it into the
+    intervals of entries ``2i + 1`` (below) and ``2i + 2`` (above)."""
+    bounds, points = [(lo, hi)], []
+    for i in range(2**levels - 1):
+        a, b = bounds[i]
+        points.append(0.5 * (a + b))
+        bounds += [(a, points[-1]), (points[-1], b)]
+    return points
 
 
 def binary_thresholds(spec: MarketSpec) -> BinaryThresholds:
@@ -255,9 +263,11 @@ def binary_thresholds(spec: MarketSpec) -> BinaryThresholds:
     which a reject-the-low-signal equilibrium exists: one array evaluation of
     the boundary condition scans 1025 labels over the legal half-interval
     [0, 0.5] (so a non-monotone corner cannot mislead it), and a bisection
-    refines the last feasible grid cell through the same evaluation on
-    one-label arrays.  It stops once the midpoint repeats an end, after which
-    neither end can move, and after at most 60 steps.
+    refines the last feasible grid cell through the same evaluation.  Each
+    evaluation covers the midpoints of the next ``_BISECTION_LEVELS`` steps,
+    of which the bisection then walks one path.  It stops once the midpoint
+    repeats an end, after which neither end can move, and after at most 60
+    steps.
 
     Raises ``DegeneratePrior`` for ``rho`` of 0 or 1, and ``NotBinary`` when
     no label is feasible, as for the uninformative high label 0.5 with
@@ -287,14 +297,22 @@ def binary_thresholds(spec: MarketSpec) -> BinaryThresholds:
     else:
         last = feasible[-1]
         lo, hi = float(grid[last]), float(grid[last + 1])
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if _reject_low_mask(spec, np.array([mid]), s_high)[0]:
-                lo = mid
-            else:
-                hi = mid
+        steps, stopped = 0, False
+        while steps < 60 and not stopped:
+            levels = min(_BISECTION_LEVELS, 60 - steps)
+            points = _bisection_midpoints(lo, hi, levels)
+            feasible_at = _reject_low_mask(spec, np.array(points), s_high)
+            node = 0
+            for _ in range(levels):
+                mid = points[node]
+                stopped = mid == lo or mid == hi
+                if stopped:
+                    break
+                if feasible_at[node]:
+                    lo, node = mid, 2 * node + 2
+                else:
+                    hi, node = mid, 2 * node + 1
+            steps += levels
         dagger = 0.5 * (lo + hi)
     return BinaryThresholds(s_L_mute=mute, s_L_as=s_as, s_L_dagger=dagger)
 
@@ -342,11 +360,9 @@ def sweep_binary(
             if not 0.5 <= v <= 1.0:
                 raise GridOutOfRange(f"good-news label {v} outside [0.5, 1]")
             labels.append((s_low, v))
-    specs = [spec.with_experiment(binary_experiment_from_labels(sl, sh)) for sl, sh in labels]
-    points = []
-    for (sl, sh), chain in zip(labels, enumerate_chains(specs)):
-        eq = chain[end]
-        points.append(SweepPoint(sl, sh, eq, eq.surplus))
+    p_L, p_H, _ = binary_masses_from_labels([sl for sl, _ in labels], [sh for _, sh in labels])
+    chains = solve_chains(spec.rho, spec.c, p_L, p_H, spec.n)
+    points = [SweepPoint(sl, sh, chain[end], chain[end].surplus) for (sl, sh), chain in zip(labels, chains)]
     return SweepCurve(dimension, selector, tuple(points))
 
 

@@ -13,6 +13,12 @@ It also keeps the scalar ``binary_thresholds``: a 1025-label scan and a
 60-step bisection, each label tested by building its binary experiment and
 solving the accept-only-high interim belief one market at a time.  The
 array evaluation in ``seqmarket.statics`` must return the same three floats.
+
+``binary_experiment_from_labels`` is the scalar label map on
+``build_experiment`` that ``seqmarket.experiment.binary_masses_from_labels``
+replaced, and ``sweep_binary_points`` the per-point sweep built on it: one
+experiment and one market per label, solved by ``enumerate_chains``.  The
+array sweep in ``seqmarket.statics`` must return an equal curve.
 """
 
 from __future__ import annotations
@@ -33,9 +39,10 @@ from seqmarket.equilibrium import (
     rejection_probs,
     total_surplus,
 )
-from seqmarket.errors import NoEquilibriumFound, NotBinary
-from seqmarket.experiment import binary_experiment_from_labels
-from seqmarket.statics import BinaryThresholds, _label_from_odds
+from seqmarket.equilibrium import chain_index, enumerate_chains
+from seqmarket.errors import GridOutOfRange, NoEquilibriumFound, NotBinary
+from seqmarket.experiment import FiniteExperiment, build_experiment
+from seqmarket.statics import BinaryThresholds, SweepCurve, SweepPoint, _label_from_odds
 
 
 def mixing_gap_curve(spec: MarketSpec, j: int, alphas: np.ndarray) -> np.ndarray:
@@ -210,3 +217,50 @@ def binary_thresholds(spec: MarketSpec) -> BinaryThresholds:
                 hi = mid
         dagger = 0.5 * (lo + hi)
     return BinaryThresholds(s_L_mute=mute, s_L_as=s_as, s_L_dagger=dagger)
+
+
+def binary_experiment_from_labels(s_low: float, s_high: float) -> FiniteExperiment:
+    """Binary experiment with the given labels.
+
+    The labels pin the masses: with ``w`` the total mass of the high outcome
+    under the half/half mixture of states, the label identity
+    ``(2 - w) * s_low + w * s_high = 1`` gives ``w``.  Requires
+    ``s_low <= 0.5 <= s_high`` for nonnegative masses.
+    """
+    if not 0.0 <= s_low <= 0.5 or not 0.5 <= s_high <= 1.0:
+        raise NotBinary(f"labels ({s_low}, {s_high}) outside the legal half-intervals")
+    if s_high - s_low < 1e-15:
+        # Uninformative corner: both labels 0.5.
+        return build_experiment([(0.5, 0.5), (0.5, 0.5)])
+    w = (1.0 - 2.0 * s_low) / (s_high - s_low)
+    low = ((2.0 - w) * (1.0 - s_low), (2.0 - w) * s_low)
+    high = (w * (1.0 - s_high), w * s_high)
+    return build_experiment([low, high])
+
+
+def sweep_binary_points(
+    spec: MarketSpec, dimension: str, grid: "list[float]", selector: str
+) -> SweepCurve:
+    """Surplus of the selected equilibrium along one informativeness axis,
+    one experiment and one market per label."""
+    s_low, s_high = spec.experiment.labels
+    if dimension not in ("bad", "good"):
+        raise ValueError(f"dimension must be 'bad' or 'good', got {dimension!r}")
+    end = chain_index(selector)
+    labels = []
+    for value in grid:
+        v = float(value)
+        if dimension == "bad":
+            if not 0.0 <= v <= 0.5:
+                raise GridOutOfRange(f"bad-news label {v} outside [0, 0.5]")
+            labels.append((v, s_high))
+        else:
+            if not 0.5 <= v <= 1.0:
+                raise GridOutOfRange(f"good-news label {v} outside [0.5, 1]")
+            labels.append((s_low, v))
+    specs = [spec.with_experiment(binary_experiment_from_labels(sl, sh)) for sl, sh in labels]
+    points = []
+    for (sl, sh), chain in zip(labels, enumerate_chains(specs)):
+        eq = chain[end]
+        points.append(SweepPoint(sl, sh, eq, eq.surplus))
+    return SweepCurve(dimension, selector, tuple(points))

@@ -19,7 +19,7 @@ from seqmarket.equilibrium import (
     enumerate_equilibria,
     interim_belief,
     is_optimal_against,
-    most_selective,
+    select_equilibrium,
 )
 from seqmarket.experiment import (
     LocalSpreadParams,
@@ -362,7 +362,7 @@ def test_criterion_08_monte_carlo_oracle():
     ]
     for name, spec, strategy, focal, seed in fixtures:
         if strategy is None:
-            strategy = most_selective(spec).strategy
+            strategy = select_equilibrium(spec, "most").strategy
         t0 = time.perf_counter()
         est = simulate(spec, strategy, SimConfig(trials=10**6, seed=seed, focal_buyer=focal))
         elapsed = time.perf_counter() - t0

@@ -26,8 +26,8 @@ from seqmarket.equilibrium import (
     enumerate_equilibria,
     interim_belief,
     interim_from_rejections,
-    least_selective,
-    most_selective,
+    select_equilibrium,
+    solve_chains,
     _root_free,
     _scan_hits,
 )
@@ -141,11 +141,27 @@ def test_batch_order_and_errors_follow_the_input():
         enumerate_chains([demo_market(2), degenerate])
 
 
+def test_array_entry_drops_massless_outcomes_and_follows_the_input():
+    """A row's outcome without mass in either state is not an outcome of its
+    market, and the first failing row decides what is raised."""
+    p_L = np.array([[0.8, 0.2], [0.0, 1.0], [1.0, 0.0]])
+    p_H = np.array([[0.2, 0.8], [0.0, 1.0], [1.0, 0.0]])
+    single = build_experiment([(1.0, 1.0)])
+    expected = [enumerate_equilibria(demo_market(3)), *[enumerate_equilibria(MarketSpec(0.5, 0.2, 3, single))] * 2]
+    assert solve_chains(0.5, 0.2, p_L, p_H, 3) == expected
+    assert solve_chains(0.5, 0.2, p_L[:0], p_H[:0], 3) == []
+    # Row 0 is the tight market at n = 2**31, which the solver cannot solve.
+    with pytest.raises(NoEquilibriumFound):
+        solve_chains([0.5, 1.0], 0.6, p_L[:2], p_H[:2], [2**31, 2])
+    with pytest.raises(DegeneratePrior):
+        solve_chains([1.0, 0.5], 0.6, p_L[:2], p_H[:2], [2, 2**31])
+
+
 def test_selectors_are_the_chain_ends():
     spec = demo_market(2)
     chain = enumerate_equilibria(spec)
-    assert most_selective(spec) == chain[0]
-    assert least_selective(spec) == chain[-1]
+    assert select_equilibrium(spec, "most") == chain[0]
+    assert select_equilibrium(spec, "least") == chain[-1]
 
 
 def test_revealing_top_at_large_n():

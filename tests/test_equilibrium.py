@@ -20,9 +20,8 @@ from seqmarket.equilibrium import (
     interim_belief,
     interim_from_rejections,
     is_optimal_against,
-    least_selective,
-    most_selective,
     rejection_probs,
+    select_equilibrium,
     total_surplus,
 )
 from seqmarket.errors import DegeneratePrior, LengthMismatch
@@ -154,8 +153,8 @@ class TestEnumerate:
             enumerate_equilibria(MarketSpec(1.0, 0.2, 2, demo_market().experiment))
 
     def test_most_and_least_selective_demo(self):
-        assert most_selective(demo_market()).strategy.accept == (0.0, 1.0)
-        assert least_selective(demo_market()).strategy.accept == (1.0, 1.0)
+        assert select_equilibrium(demo_market(), "most").strategy.accept == (0.0, 1.0)
+        assert select_equilibrium(demo_market(), "least").strategy.accept == (1.0, 1.0)
 
     def test_perfect_screening_collapses_the_chain(self):
         exp = build_experiment([(1.0, 0.0), (0.0, 1.0)])
@@ -206,7 +205,7 @@ class TestBinaryStructure:
         rng = np.random.default_rng(20250811)
         for _ in range(25):
             spec = random_market(rng, m_choices=(2,))
-            for eq in (most_selective(spec), least_selective(spec)):
+            for eq in (select_equilibrium(spec, "most"), select_equilibrium(spec, "least")):
                 assert eq.strategy.accept[0] in (0.0, 1.0)
 
     def test_interim_decreases_in_high_acceptance(self):

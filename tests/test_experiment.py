@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_solver as reference
+import seqmarket.experiment as experiment
 from seqmarket.errors import (
     ColumnSumMismatch,
     InfeasibleSpread,
@@ -18,8 +22,10 @@ from seqmarket.errors import (
 from seqmarket.experiment import (
     LocalSpreadParams,
     OddsRatio,
+    _ratio_cmp_exact,
     apply_local_spread,
     binary_experiment_from_labels,
+    binary_masses_from_labels,
     build_experiment,
     is_blackwell_geq_binary,
     is_garbling_of,
@@ -270,3 +276,115 @@ def test_spread_conserves_mass_and_refines(case):
     assert math.fsum(o.p_H for o in spread.outcomes) == pytest.approx(1.0, abs=1e-12)
     assert all(a <= b + 1e-12 for a, b in zip(spread.labels, spread.labels[1:]))
     assert is_garbling_of(exp, spread)
+
+
+# Masses at and near zero (subnormals included), ordinary ones and one.
+_MASSES = st.one_of(
+    st.just(0.0), st.just(5e-324), st.floats(0.0, 1e-300), st.floats(0.0, 1.0), st.just(1.0)
+)
+
+
+@st.composite
+def pair_couples(draw):
+    """Two (p_L, p_H) pairs: free, with equal ratios (k*a, k*b), or an ulp apart."""
+    a = (draw(_MASSES), draw(_MASSES))
+    kind = draw(st.sampled_from(["free", "scaled", "ulp"]))
+    if kind == "free":
+        return a, (draw(_MASSES), draw(_MASSES))
+    if kind == "scaled":
+        k = draw(st.floats(1e-3, 1e3))
+        return a, (k * a[0], k * a[1])
+    side = draw(st.integers(0, 1))
+    b = list(a)
+    b[side] = float(np.nextafter(a[side], draw(st.sampled_from([0.0, 2.0]))))
+    return a, tuple(b)
+
+
+@given(pair_couples())
+@settings(max_examples=150, deadline=None)
+def test_ratio_order_matches_fractions(couple):
+    a, b = couple
+    lhs, rhs = Fraction(a[1]) * Fraction(b[0]), Fraction(b[1]) * Fraction(a[0])
+    assert _ratio_cmp_exact(a, b) == (lhs > rhs) - (lhs < rhs)
+    assert _ratio_cmp_exact(b, a) == (rhs > lhs) - (rhs < lhs)
+
+
+class TestBinaryMassesFromLabels:
+    """The array label map against the scalar one on ``build_experiment``."""
+
+    LOWS = (0.0, -0.0, 5e-324, 1e-300, 0.1, 0.3, float(np.nextafter(0.5, 0.0)), 0.5)
+    HIGHS = (0.5, float(np.nextafter(0.5, 1.0)), 0.7, 1.0 - 1e-16, 1.0)
+
+    @staticmethod
+    def _assert_rows_match(s_lows, s_highs):
+        p_L, p_H, kept = binary_masses_from_labels(s_lows, s_highs)
+        for row, (s_low, s_high) in enumerate(zip(s_lows, s_highs)):
+            exp = reference.binary_experiment_from_labels(s_low, s_high)
+            rows = [(a, b) for a, b, k in zip(p_L[row].tolist(), p_H[row].tolist(), kept[row].tolist()) if k]
+            assert rows == list(exp.mass_pairs()), (s_low, s_high)
+            labels = [b / (b + a) for a, b in rows]
+            assert labels == list(exp.labels), (s_low, s_high)
+            signs = lambda xs: [math.copysign(1.0, x) for x in xs]
+            assert signs(itertools.chain(*rows, labels)) == signs(itertools.chain(*exp.mass_pairs(), exp.labels))
+            one = binary_experiment_from_labels(s_low, s_high)
+            assert one == exp and one.labels == exp.labels
+
+    def test_edge_labels_match_the_scalar_builder(self):
+        pairs = list(itertools.product(self.LOWS, self.HIGHS))
+        self._assert_rows_match([a for a, _ in pairs], [b for _, b in pairs])
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from(LOWS), st.floats(0.0, 0.5)),
+                st.one_of(st.sampled_from(HIGHS), st.floats(0.5, 1.0)),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_label_arrays_match_the_scalar_builder(self, pairs):
+        self._assert_rows_match([a for a, _ in pairs], [b for _, b in pairs])
+
+    @staticmethod
+    def _first_failure(s_lows, s_highs):
+        """The (class, message) that the array map raises, and the one the
+        scalar builder raises at the first pair it refuses."""
+        outcomes = []
+        try:
+            binary_masses_from_labels(s_lows, s_highs)
+        except Exception as exc:
+            outcomes.append((type(exc), str(exc)))
+        for s_low, s_high in zip(s_lows, s_highs):
+            try:
+                reference.binary_experiment_from_labels(s_low, s_high)
+            except Exception as exc:
+                outcomes.append((type(exc), str(exc)))
+                break
+        return outcomes
+
+    @pytest.mark.parametrize(
+        "s_lows, s_highs",
+        [
+            ([0.2, 0.7], [0.8, 0.8]),
+            ([0.2, 0.3], [0.8, 0.4]),
+            ([float("nan")], [0.8]),
+            ([-1e-300, 0.2], [0.8, 1.5]),
+            ([0.2, 0.1], [float("inf"), 0.8]),
+        ],
+    )
+    def test_the_first_illegal_pair_raises_as_the_scalar_builder(self, s_lows, s_highs):
+        got, expected = self._first_failure(s_lows, s_highs)
+        assert got == expected and got[0] is NotBinary
+
+    def test_a_column_sum_failure_raises_as_the_scalar_builder(self, monkeypatch):
+        """With no column-sum tolerance, the first pair whose two-term sums
+        miss 1 raises ``build_experiment``'s mismatch, unless an illegal
+        pair comes first."""
+        monkeypatch.setattr(experiment, "COLUMN_SUM_TOL", 0.0)
+        labels = np.random.default_rng(3).uniform(0.0, 0.5, 40).tolist()
+        got, expected = self._first_failure([*labels, 0.7], [0.8] * 41)
+        assert got == expected and got[0] is ColumnSumMismatch
+        got, expected = self._first_failure([0.7, *labels], [0.8] * 41)
+        assert got == expected and got[0] is NotBinary

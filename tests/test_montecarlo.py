@@ -19,8 +19,8 @@ from seqmarket.equilibrium import (
     MarketSpec,
     Strategy,
     interim_belief,
-    most_selective,
     rejection_probs,
+    select_equilibrium,
     total_surplus,
 )
 from seqmarket.errors import LengthMismatch, NoFocalBuyer
@@ -102,7 +102,7 @@ class TestOracleAgreement:
 
     def test_tight_market_large_n_equilibrium(self):
         spec = tight_market(50)
-        eq = most_selective(spec)
+        eq = select_equilibrium(spec, "most")
         est = simulate(spec, eq.strategy, SimConfig(trials=TRIALS, seed=3))
         assert_within(est.trade_prob_H, 1.0 - eq.r_H**50, est.trade_prob_H_se)
         assert_within(est.trade_prob_L, 1.0 - eq.r_L**50, est.trade_prob_L_se)

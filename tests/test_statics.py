@@ -14,7 +14,7 @@ import reference_solver as reference
 import seqmarket.statics as statics
 
 from conftest import random_market
-from seqmarket.equilibrium import MarketSpec, Strategy, enumerate_chains, most_selective, select_equilibrium
+from seqmarket.equilibrium import MarketSpec, Strategy, enumerate_chains, select_equilibrium
 from seqmarket.errors import DegeneratePrior, GridOutOfRange, NonMonotoneStrategy, NotBinary, NotComparable
 from seqmarket.experiment import (
     LocalSpreadParams,
@@ -95,7 +95,7 @@ class TestSurplusVsN:
             else:
                 hi = mid
         alpha = 0.5 * (lo + hi)
-        eq = most_selective(tight_market(n))
+        eq = select_equilibrium(tight_market(n), "most")
         assert eq.mixing_prob == pytest.approx(alpha, abs=1e-9)
         p_trade_h = 1.0 - (1.0 - 0.8 * alpha) ** n
         p_trade_l = 1.0 - (1.0 - 0.2 * alpha) ** n
@@ -397,14 +397,74 @@ class TestSweepBinary:
             sweep_binary(demo_market(), "good", [0.3], "most")
 
     def test_labels_are_checked_before_any_point_is_solved(self, monkeypatch):
-        def unreachable(specs):
-            raise AssertionError("solved a point before the grid was checked")
+        def unreachable(*args):
+            raise AssertionError("built or solved a point before the grid was checked")
 
-        monkeypatch.setattr(statics, "enumerate_chains", unreachable)
+        monkeypatch.setattr(statics, "binary_masses_from_labels", unreachable)
+        monkeypatch.setattr(statics, "solve_chains", unreachable)
         with pytest.raises(GridOutOfRange, match="bad-news label 0.7"):
             sweep_binary(tight_market(2**31), "bad", [0.2, 0.7], "most")
         with pytest.raises(GridOutOfRange, match="good-news label 0.3"):
             sweep_binary(demo_market(), "good", [0.6, 0.3], "least")
+
+    # The legal half-intervals' ends, the labels next to them and next to
+    # 0.5, and labels that leave one outcome without mass.
+    BAD_EDGES = (0.0, 1e-300, float(np.nextafter(0.5, 0.0)), 0.5)
+    GOOD_EDGES = (0.5, float(np.nextafter(0.5, 1.0)), 1.0 - 1e-16, 1.0)
+
+    @staticmethod
+    def _same_as_reference(spec, dimension, grid, selector):
+        """The curve or the (class, message) of the error, which the array
+        sweep and the per-point reference must share."""
+        outcomes = []
+        for sweep in (sweep_binary, reference.sweep_binary_points):
+            try:
+                outcomes.append(sweep(spec, dimension, grid, selector))
+            except Exception as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1], (spec, dimension, grid, selector)
+        return outcomes[0]
+
+    @pytest.mark.parametrize("dimension", ["bad", "good"])
+    @pytest.mark.parametrize("selector", ["most", "least"])
+    def test_golden_grids_match_the_per_point_reference(self, dimension, selector):
+        grid = np.linspace(0.0, 0.5, 201) if dimension == "bad" else np.linspace(0.5, 1.0, 201)
+        curve = self._same_as_reference(demo_market(), dimension, [float(g) for g in grid], selector)
+        assert len(curve.points) == 201
+
+    def test_seeded_markets_match_the_per_point_reference(self):
+        """Seeded binary markets from n = 1 to 2**53, both dimensions and
+        both selectors, on grids holding every edge label."""
+        rng = np.random.default_rng(12)
+        sizes = (1, 2, 3, 7, 50, 10**6, 2**31, 2**53)
+        for i in range(32):
+            s_low = float(rng.choice([0.0, 1e-300, np.nextafter(0.5, 0.0), rng.uniform(0.0, 0.5)]))
+            s_high = float(rng.choice([1.0, 1.0 - 1e-16, np.nextafter(0.5, 1.0), rng.uniform(0.5, 1.0)]))
+            rho, c = float(rng.uniform(0.02, 0.98)), float(rng.uniform(0.02, 0.98))
+            spec = MarketSpec(rho, c, sizes[i // 4], binary_experiment_from_labels(s_low, s_high))
+            dimension, selector = ("bad", "good")[i % 2], ("most", "least")[i // 2 % 2]
+            if dimension == "bad":
+                grid = [*self.BAD_EDGES, *rng.uniform(0.0, 0.5, 3)]
+            else:
+                grid = [*self.GOOD_EDGES, *rng.uniform(0.5, 1.0, 3)]
+            curve = self._same_as_reference(spec, dimension, grid, selector)
+            assert len(curve.points) == len(grid)
+
+    def test_failures_match_the_per_point_reference(self):
+        exp = demo_market().experiment
+        cases = [
+            (demo_market(), "bad", [0.2, 0.7], "most"),
+            (demo_market(), "good", [0.6, 0.3], "least"),
+            (demo_market(), "bad", [float("nan")], "most"),
+            (MarketSpec(0.0, 0.3, 2, exp), "bad", [0.2], "most"),
+            (MarketSpec(1.0, 0.3, 2, exp), "good", [0.7, 0.5], "least"),
+            (tight_market(2**31), "bad", [0.2, 0.3], "most"),
+            (tight_market(2**31), "bad", [0.5, 0.2], "least"),
+        ]
+        for case in cases:
+            assert isinstance(self._same_as_reference(*case), tuple), case
+        # An empty grid solves nothing, so even a degenerate prior passes.
+        assert self._same_as_reference(MarketSpec(1.0, 0.3, 2, exp), "bad", [], "most").points == ()
 
     def test_invalid_selector_is_rejected_on_an_empty_grid(self):
         with pytest.raises(ValueError, match="selector must be 'most' or 'least', got 'neither'"):
