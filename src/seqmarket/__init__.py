@@ -9,7 +9,6 @@ from .equilibrium import (
     MarketSpec,
     Strategy,
     benchmarks,
-    best_response,
     enumerate_chains,
     enumerate_equilibria,
     interim_belief,
@@ -30,7 +29,6 @@ from .experiment import (
     build_experiment,
     is_blackwell_geq_binary,
     is_garbling_of,
-    merge_equal_ratios,
     posterior,
 )
 from .design import (
@@ -45,7 +43,7 @@ from .design import (
     obeyed_surplus,
     optimal_garbling,
 )
-from .montecarlo import SimConfig, SimEstimate, estimate_interim, simulate
+from .montecarlo import SimConfig, SimEstimate, simulate
 from .statics import (
     BinaryThresholds,
     LimitClass,

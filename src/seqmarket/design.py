@@ -138,10 +138,9 @@ def grid_diagnostics(spec: MarketSpec, d_values) -> dict[str, np.ndarray]:
     ``d_values``, in one vectorised pass; the only evaluator of garblings.
 
     Returns arrays in grid order keyed ``D``; ``weights`` (accept weight per
-    row), ``threshold_row``, ``threshold_label``, ``mixing_weight``;
-    ``accept_L``, ``accept_H``, ``reject_L``, ``reject_H``; ``is_ic``;
-    ``rejection_odds`` and ``finite_margin``, ``margin``, ``is_irrelevant``;
-    and ``obeyed_surplus``.
+    row), ``threshold_row``; ``accept_L``, ``accept_H``, ``reject_L``,
+    ``reject_H``; ``is_ic``; ``rejection_odds`` and ``finite_margin``,
+    ``margin``, ``is_irrelevant``; and ``obeyed_surplus``.
 
     A recommendation is IC when obeying it is optimal at the consistent
     interim belief; one never issued imposes no condition.  The finite
@@ -179,8 +178,6 @@ def grid_diagnostics(spec: MarketSpec, d_values) -> dict[str, np.ndarray]:
         "D": d,
         "weights": weights,
         "threshold_row": rows,
-        "threshold_label": np.asarray(exp.labels)[rows],
-        "mixing_weight": weights[np.arange(d.size), rows],
         "accept_L": accept_l,
         "accept_H": accept_h,
         "reject_L": reject_l,

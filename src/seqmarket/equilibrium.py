@@ -82,14 +82,6 @@ class Strategy:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.accept, dtype=float)
 
-    @staticmethod
-    def cutoff(m: int, index: int, mixing: float = 1.0) -> "Strategy":
-        """Monotone strategy: reject below ``index``, accept ``mixing`` there, accept above."""
-        if index >= m:
-            return Strategy((0.0,) * m)
-        accept = [0.0] * index + [mixing] + [1.0] * (m - index - 1)
-        return Strategy(tuple(accept))
-
 
 @dataclass(frozen=True)
 class Benchmarks:
@@ -106,15 +98,6 @@ class Equilibrium:
     surplus: float
     cutoff_index: int  # first outcome accepted with positive probability; m if none
     mixing_prob: float  # acceptance probability at the cutoff outcome (0.0 if none)
-
-
-@dataclass(frozen=True)
-class BestResponse:
-    """Outcome partition implied by an interim belief."""
-
-    must_reject: tuple[int, ...]
-    must_accept: tuple[int, ...]
-    indifferent: tuple[int, ...]
 
 
 def _check_length(spec: MarketSpec, strategy: Strategy) -> None:
@@ -254,17 +237,6 @@ def _best_response_rows(accept: np.ndarray, gaps: np.ndarray) -> np.ndarray:
         np.where(accept == 1.0, gaps >= -INDIFFERENCE_TOL, np.abs(gaps) <= INDIFFERENCE_TOL),
     )
     return ok.all(axis=-1)
-
-
-def best_response(spec: MarketSpec, interim: float) -> BestResponse:
-    """Partition outcomes into must-reject / must-accept / indifferent."""
-    gaps = _acceptance_gaps(spec, interim)
-    reject = tuple(int(j) for j in np.flatnonzero(gaps < -INDIFFERENCE_TOL))
-    accept = tuple(int(j) for j in np.flatnonzero(gaps > INDIFFERENCE_TOL))
-    indiff = tuple(
-        int(j) for j in np.flatnonzero(np.abs(gaps) <= INDIFFERENCE_TOL)
-    )
-    return BestResponse(reject, accept, indiff)
 
 
 def is_optimal_against(spec: MarketSpec, strategy: Strategy, interim: float) -> bool:
@@ -639,7 +611,5 @@ def single_buyer_surplus(rho: float, c: float, experiment: FiniteExperiment) -> 
     buyer accepts exactly where her posterior beats the reservation value;
     indifferent outcomes contribute nothing either way.
     """
-    p_l = experiment.p_L_array()
-    p_h = experiment.p_H_array()
-    gains = rho * p_h * (1.0 - c) - (1.0 - rho) * p_l * c
+    gains = _gaps(c, experiment.p_L_array(), experiment.p_H_array(), rho)
     return float(np.maximum(gains, 0.0).sum())

@@ -27,7 +27,6 @@ from .errors import (
 
 COLUMN_SUM_TOL = 1e-9
 GARBLING_FEASIBILITY_TOL = 1e-9
-EQUAL_RATIO_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -339,27 +338,6 @@ def apply_local_spread(
     up = Outcome(_label(beta * hi.den, beta * hi.num), beta * hi.den, beta * hi.num)
     new_outcomes = list(exp.outcomes[:j]) + [down, up] + list(exp.outcomes[j + 1 :])
     return _validated(new_outcomes)
-
-
-def merge_equal_ratios(exp: FiniteExperiment) -> FiniteExperiment:
-    """Collapse adjacent outcomes whose likelihood ratios agree within
-    ``EQUAL_RATIO_TOL``.
-
-    Construction keeps equal-ratio outcomes distinct; this is the explicit
-    normalisation that pools them.
-    """
-    merged: list[list[float]] = []
-    for o in exp.outcomes:
-        if merged:
-            pl, ph = merged[-1]
-            cross = abs(ph * o.p_L - o.p_H * pl)
-            scale = max(ph + pl, o.p_H + o.p_L)
-            if cross <= EQUAL_RATIO_TOL * scale:
-                merged[-1][0] += o.p_L
-                merged[-1][1] += o.p_H
-                continue
-        merged.append([o.p_L, o.p_H])
-    return _validated([Outcome(_label(a, b), a, b) for a, b in merged])
 
 
 def is_blackwell_geq_binary(better: FiniteExperiment, base: FiniteExperiment) -> bool:

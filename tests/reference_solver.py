@@ -80,6 +80,13 @@ def full_scan_hits(rho: float, c: float, tail_L, tail_H, p_L, p_H, n):
     return pair, cell, change[pair, cell], g0[pair, cell]
 
 
+def cutoff_strategy(m: int, index: int, mixing: float = 1.0) -> Strategy:
+    """Monotone strategy: reject below ``index``, accept ``mixing`` there, accept above."""
+    if index >= m:
+        return Strategy((0.0,) * m)
+    return Strategy((0.0,) * index + (mixing,) + (1.0,) * (m - index - 1))
+
+
 def bisect_mixing(spec: MarketSpec, j: int, lo: float, hi: float) -> float:
     g = lambda a: float(mixing_gap_curve(spec, j, np.asarray([a]))[0])
     g_lo = g(lo)
@@ -118,7 +125,7 @@ def enumerate_equilibria(spec: MarketSpec) -> tuple[Equilibrium, ...]:
     found: list[Strategy] = []
 
     for j in range(m + 1):
-        sigma = Strategy.cutoff(m, j)
+        sigma = cutoff_strategy(m, j)
         if is_optimal_against(spec, sigma, interim_belief(spec, sigma)):
             found.append(sigma)
 
@@ -135,7 +142,7 @@ def enumerate_equilibria(spec: MarketSpec) -> tuple[Equilibrium, ...]:
         for alpha in roots:
             if not 0.0 < alpha < 1.0:
                 continue
-            sigma = Strategy.cutoff(m, j, alpha)
+            sigma = cutoff_strategy(m, j, alpha)
             if is_optimal_against(spec, sigma, interim_belief(spec, sigma)):
                 found.append(sigma)
 

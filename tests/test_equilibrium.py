@@ -14,7 +14,6 @@ from seqmarket.equilibrium import (
     _irrelevance_display,
     Strategy,
     benchmarks,
-    best_response,
     enumerate_equilibria,
     geometric_sum,
     interim_belief,
@@ -109,23 +108,6 @@ class TestBenchmarks:
     def test_tight(self):
         bench = benchmarks(tight_market())
         assert (bench.no_info, bench.full_info) == pytest.approx((0.0, 0.2))
-
-
-class TestBestResponse:
-    def test_adverse_interim_splits_demo_signals(self):
-        br = best_response(demo_market(), 0.4)
-        assert br.must_reject == (0,)
-        assert br.must_accept == (1,)
-        assert br.indifferent == ()
-
-    def test_prior_interim_leaves_low_signal_indifferent(self):
-        br = best_response(demo_market(), 0.5)
-        assert br.must_accept == (1,)
-        assert br.indifferent == (0,)
-
-    def test_zero_interim_rejects_everything(self):
-        br = best_response(demo_market(), 0.0)
-        assert br.must_reject == (0, 1)
 
 
 class TestEnumerate:

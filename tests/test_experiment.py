@@ -29,7 +29,6 @@ from seqmarket.experiment import (
     build_experiment,
     is_blackwell_geq_binary,
     is_garbling_of,
-    merge_equal_ratios,
     posterior,
 )
 
@@ -167,14 +166,11 @@ class TestLocalSpread:
         assert is_garbling_of(exp, spread)
 
     def test_merge_recovers_original_after_duplicate_ratio_spread(self):
-        # Spreading onto a ratio already present keeps outcomes distinct
-        # until the merge utility pools them.
+        # Spreading onto a ratio already present keeps the outcomes distinct.
         exp = build_experiment([(0.5, 0.2), (0.3, 0.3), (0.2, 0.5)])
         lr_low = exp.likelihood_ratio(0)
         spread = apply_local_spread(exp, LocalSpreadParams(1, lr_low, OddsRatio(2, 1)))
         assert spread.m == 4
-        merged = merge_equal_ratios(spread)
-        assert merged.m == 3
 
 
 class TestBlackwellBinary:

@@ -7,6 +7,7 @@ import dataclasses
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from seqmarket.equilibrium import (
     total_surplus,
 )
 from seqmarket.errors import LengthMismatch, NoFocalBuyer
-from seqmarket.montecarlo import SimConfig, estimate_interim, simulate
+from seqmarket.montecarlo import SimConfig, simulate
 from seqmarket.experiment import FiniteExperiment, Outcome, build_experiment
 from seqmarket.scenarios import demo_market, revealing_market, tight_market
 
@@ -64,10 +65,6 @@ class TestExactCorners:
         with pytest.raises(NoFocalBuyer):
             simulate(demo_market(), SIGMA_SELECTIVE, SimConfig(trials=10, seed=0, focal_buyer=7))
 
-    def test_estimate_interim_needs_focal_buyer(self):
-        with pytest.raises(NoFocalBuyer):
-            estimate_interim(demo_market(), SIGMA_SELECTIVE, SimConfig(trials=10, seed=0))
-
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits(self, seed):
         """The streams are keyed by 64 bits of the seed, so a seed outside
@@ -88,17 +85,13 @@ class TestOracleAgreement:
         assert_within(est.interim_estimate, 0.4, est.interim_se)
 
     def test_demo_accept_all_interim_matches_prior(self):
-        value, se = estimate_interim(
-            demo_market(), Strategy((1.0, 1.0)), SimConfig(trials=200_000, seed=4, focal_buyer=1)
-        )
-        assert_within(value, 0.5, se)
+        est = simulate(demo_market(), Strategy((1.0, 1.0)), SimConfig(trials=200_000, seed=4, focal_buyer=1))
+        assert_within(est.interim_estimate, 0.5, est.interim_se)
 
     def test_uninformative_signals_keep_the_prior(self):
         spec = MarketSpec(0.37, 0.2, 3, build_experiment([(0.5, 0.5), (0.5, 0.5)]))
-        value, se = estimate_interim(
-            spec, Strategy((0.0, 0.6)), SimConfig(trials=200_000, seed=9, focal_buyer=2)
-        )
-        assert_within(value, 0.37, se)
+        est = simulate(spec, Strategy((0.0, 0.6)), SimConfig(trials=200_000, seed=9, focal_buyer=2))
+        assert_within(est.interim_estimate, 0.37, est.interim_se)
 
     def test_tight_market_large_n_equilibrium(self):
         spec = tight_market(50)
@@ -124,8 +117,8 @@ class TestOracleAgreement:
     def test_interim_against_analytic_for_mixing_strategy(self):
         spec = tight_market(4)
         sigma = Strategy((0.0, 0.7))
-        value, se = estimate_interim(spec, sigma, SimConfig(trials=TRIALS, seed=77, focal_buyer=3))
-        assert_within(value, interim_belief(spec, sigma), se)
+        est = simulate(spec, sigma, SimConfig(trials=TRIALS, seed=77, focal_buyer=3))
+        assert_within(est.interim_estimate, interim_belief(spec, sigma), est.interim_se)
 
 
 def _fields(est) -> tuple:
@@ -241,6 +234,42 @@ class TestScheduling:
         before, mask = threading.active_count(), montecarlo._affinity()
         config = SimConfig(trials=2 * montecarlo.BLOCK_TRIALS + 77, seed=0, focal_buyer=1)
         with pytest.raises(RuntimeError, match=f"block {failing} failed"):
+            simulate(demo_market(), SIGMA_SELECTIVE, config)
+        assert threading.active_count() == before and montecarlo._affinity() == mask
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_blocks_finishing_out_of_order(self, monkeypatch, workers):
+        """The caller's blocks finish last, after the workers' later blocks:
+        the results are still added in block order."""
+        real, caller = montecarlo._block_rng, threading.get_ident()
+
+        def block_rng(seed, block):
+            if threading.get_ident() == caller:
+                time.sleep(0.05)
+            return real(seed, block)
+
+        monkeypatch.setattr(montecarlo, "_block_rng", block_rng)
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+        spec, accept, _ = EQUIVALENCE_CASES["seeded_0"]
+        config = SimConfig(trials=7 * montecarlo.BLOCK_TRIALS + 5, seed=1, focal_buyer=0)
+        estimate = simulate(spec, Strategy(accept), config)
+        assert _fields(estimate) == _fields(reference_simulate(spec, Strategy(accept), config))
+
+    def test_an_interrupt_in_the_caller_stops_every_worker(self, monkeypatch):
+        """An interrupt in the caller's block 0 reaches the caller once the
+        workers are joined, and the caller gets its CPU affinity back."""
+        real = montecarlo._block_rng
+
+        def block_rng(seed, block):
+            if block == 0:
+                raise KeyboardInterrupt
+            return real(seed, block)
+
+        monkeypatch.setattr(montecarlo, "_block_rng", block_rng)
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: 3)
+        before, mask = threading.active_count(), montecarlo._affinity()
+        config = SimConfig(trials=9 * montecarlo.BLOCK_TRIALS, seed=0, focal_buyer=1)
+        with pytest.raises(KeyboardInterrupt):
             simulate(demo_market(), SIGMA_SELECTIVE, config)
         assert threading.active_count() == before and montecarlo._affinity() == mask
 
