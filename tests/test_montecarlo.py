@@ -250,6 +250,8 @@ class TestScheduling:
 
         monkeypatch.setattr(montecarlo, "_block_rng", block_rng)
         monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+        # On this market and seed, adding the blocks in the order they
+        # finish would move an estimate.
         spec, accept, _ = EQUIVALENCE_CASES["seeded_0"]
         config = SimConfig(trials=7 * montecarlo.BLOCK_TRIALS + 5, seed=1, focal_buyer=0)
         estimate = simulate(spec, Strategy(accept), config)
