@@ -24,6 +24,7 @@ from .errors import ParamOutOfRange
 from .equilibrium import (
     INDIFFERENCE_TOL,
     MarketSpec,
+    _bisect,
     _gaps,
     _irrelevance_display,
     interim_from_rejections,
@@ -135,7 +136,8 @@ def garbling_from_param(exp: FiniteExperiment, d: float) -> MonotoneBinaryGarbli
 
 def grid_diagnostics(spec: MarketSpec, d_values) -> dict[str, np.ndarray]:
     """Everything the design reports of the garblings with parameters
-    ``d_values``, in one vectorised pass; the only evaluator of garblings.
+    ``d_values``, in one vectorised pass; every diagnostic is read from it
+    (``garbling_from_param`` only forms masses, through ``_masses``).
 
     Returns arrays in grid order keyed ``D``; ``weights`` (accept weight per
     row), ``threshold_row``; ``accept_L``, ``accept_H``, ``reject_L``,
@@ -257,8 +259,9 @@ def max_irrelevant_param(spec: MarketSpec) -> float:
     The finite-limit margin is decreasing within each unit segment of ``D``
     and jumps weakly downward at integers, so the maximiser is found by
     scanning segments from the top and bisecting inside the first segment
-    whose left end is nonnegative.  ``D == 0`` always qualifies (acceptance
-    is never recommended there).
+    whose left end is nonnegative, until the midpoint repeats an end or for
+    at most 80 steps (the descent through the dense floats near 0).
+    ``D == 0`` always qualifies (acceptance is never recommended there).
     """
     m = spec.experiment.m
     ends = grid_diagnostics(spec, np.arange(m + 1, dtype=float))
@@ -272,17 +275,8 @@ def max_irrelevant_param(spec: MarketSpec) -> float:
             return float(seg)
         if left[seg - 1] < 0.0:
             continue
-        lo, hi = float(seg - 1), float(seg)
-        # Once the midpoint repeats an end, lo can no longer move; the cap
-        # stops the long descent through the dense floats near 0.
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if grid_diagnostics(spec, [mid])["finite_margin"][0] >= 0.0:
-                lo = mid
-            else:
-                hi = mid
+        holds = lambda d: grid_diagnostics(spec, d)["finite_margin"] >= 0.0
+        (lo,), _ = _bisect(holds, [seg - 1], [seg], 80)
         return lo
     return 0.0
 
@@ -290,22 +284,16 @@ def max_irrelevant_param(spec: MarketSpec) -> float:
 def ic_intervals(spec: MarketSpec) -> tuple[tuple[float, float], ...]:
     """The set of ``D`` with incentive-compatible recommendations, as closed
     intervals.  Both IC margins are continuous in ``D``, so a dense scan with
-    bisection-refined boundaries recovers the set to ``IC_REFINE_TOL``."""
+    bisection-refined boundaries recovers the set: each boundary bisects from
+    its scan cell's IC end until ``|hi - lo| <= IC_REFINE_TOL``."""
     m = spec.experiment.m
     grid = np.linspace(0.0, float(m), m * IC_SCAN_PER_SEGMENT + 1)
     ok = grid_diagnostics(spec, grid)["is_ic"]
-    # Bisect every scan cell whose ends disagree, all together, down to
-    # IC_REFINE_TOL; each cell's refined boundary is its IC end.
+    # Bisect every disagreeing scan cell from its IC end, grid[i + ok[i + 1]].
     cells = np.flatnonzero(ok[:-1] != ok[1:])
-    a, b, a_ok = grid[cells], grid[cells + 1], ok[cells]
-    active = np.flatnonzero(b - a > IC_REFINE_TOL)
-    while active.size:
-        mid = 0.5 * (a[active] + b[active])
-        up = grid_diagnostics(spec, mid)["is_ic"] == a_ok[active]
-        a[active[up]] = mid[up]
-        b[active[~up]] = mid[~up]
-        active = active[b[active] - a[active] > IC_REFINE_TOL]
-    edge = dict(zip(cells.tolist(), np.where(a_ok, a, b).tolist()))
+    holds = lambda d: grid_diagnostics(spec, d)["is_ic"]
+    edges, _ = _bisect(holds, grid[cells + ok[cells + 1]], grid[cells + ok[cells]], 60, IC_REFINE_TOL)
+    edge = dict(zip(cells.tolist(), edges))
     starts = np.flatnonzero(ok & np.r_[True, ~ok[:-1]]).tolist()
     stops = np.flatnonzero(ok & np.r_[~ok[1:], True]).tolist()
     last = grid.size - 1

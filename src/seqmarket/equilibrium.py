@@ -221,6 +221,49 @@ def _irrelevance_display(rho: float, c: float, lr, ratio, k):
     return float(margin) if margin.ndim == 0 else margin
 
 
+# Bisection steps whose midpoints one call of the predicate covers.
+_BISECTION_LEVELS = 6
+
+
+def _bisection_midpoints(lo: float, hi: float, levels: int) -> list[float]:
+    """Every midpoint ``levels`` bisection steps from ``(lo, hi)`` can visit, in
+    heap order: entry ``i`` splits its interval into entries ``2i + 1`` and ``2i + 2``."""
+    bounds, points = [(lo, hi)], []
+    for i in range(2**levels - 1):
+        a, b = bounds[i]
+        points.append(0.5 * (a + b))
+        bounds += [(a, points[-1]), (points[-1], b)]
+    return points
+
+
+def _bisect(holds, lo, hi, steps: int, width: float = 0.0) -> tuple[list[float], list[float]]:
+    """Bisect each bracket ``(lo[k], hi[k])`` toward the boundary of the array
+    predicate ``holds``, true at ``lo`` (which may exceed ``hi``); return the
+    ends.  A bracket stops once its midpoint repeats an end, once ``|hi - lo|
+    <= width`` or after ``steps`` steps.  One call of ``holds`` covers the
+    next ``_BISECTION_LEVELS`` steps of every moving bracket, so the ends are
+    those of one call per step wherever ``holds`` decides each point alone."""
+    lo, hi = [float(x) for x in lo], [float(x) for x in hi]
+    moves = lambda k: abs(hi[k] - lo[k]) > width and 0.5 * (lo[k] + hi[k]) not in (lo[k], hi[k])
+    moving = [k for k in range(len(lo)) if moves(k)]
+    while moving and steps > 0:
+        levels = min(_BISECTION_LEVELS, steps)
+        steps -= levels
+        points = [p for k in moving for p in _bisection_midpoints(lo[k], hi[k], levels)]
+        ok = holds(np.array(points)).tolist()
+        for base, k in zip(range(0, len(points), 2**levels - 1), moving):
+            node = 0
+            for _ in range(levels):
+                if not moves(k):
+                    break
+                if ok[base + node]:
+                    lo[k], node = points[base + node], 2 * node + 2
+                else:
+                    hi[k], node = points[base + node], 2 * node + 1
+        moving = [k for k in moving if moves(k)]
+    return lo, hi
+
+
 def _acceptance_gaps(spec: MarketSpec, interim: float) -> np.ndarray:
     return _gaps(spec.c, spec.experiment.p_L_array(), spec.experiment.p_H_array(), interim)
 

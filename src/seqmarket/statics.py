@@ -15,6 +15,7 @@ from .equilibrium import (
     Equilibrium,
     MarketSpec,
     Strategy,
+    _bisect,
     _irrelevance_display,
     benchmarks,
     chain_index,
@@ -237,22 +238,6 @@ def _reject_low_mask(spec: MarketSpec, s_low: np.ndarray, s_high: float) -> np.n
     return np.where(kept[:, 0] & kept[:, 1], lhs <= rhs + 1e-15, spec.rho <= spec.c)
 
 
-# Bisection steps whose midpoints one evaluation of the boundary condition covers.
-_BISECTION_LEVELS = 6
-
-
-def _bisection_midpoints(lo: float, hi: float, levels: int) -> list[float]:
-    """Every midpoint that ``levels`` bisection steps from ``[lo, hi]`` can
-    visit, in heap order: the interval of entry ``i`` splits at it into the
-    intervals of entries ``2i + 1`` (below) and ``2i + 2`` (above)."""
-    bounds, points = [(lo, hi)], []
-    for i in range(2**levels - 1):
-        a, b = bounds[i]
-        points.append(0.5 * (a + b))
-        bounds += [(a, points[-1]), (points[-1], b)]
-    return points
-
-
 def binary_thresholds(spec: MarketSpec) -> BinaryThresholds:
     """The three critical bad-news levels of a binary market.
 
@@ -262,12 +247,11 @@ def binary_thresholds(spec: MarketSpec) -> BinaryThresholds:
     surplus turning point).  ``s_L_dagger`` is the largest bad-news label at
     which a reject-the-low-signal equilibrium exists: one array evaluation of
     the boundary condition scans 1025 labels over the legal half-interval
-    [0, 0.5] (so a non-monotone corner cannot mislead it), and a bisection
-    refines the last feasible grid cell through the same evaluation.  Each
-    evaluation covers the midpoints of the next ``_BISECTION_LEVELS`` steps,
-    of which the bisection then walks one path.  It stops once the midpoint
-    repeats an end, after which neither end can move, and after at most 60
-    steps.
+    [0, 0.5] (so a non-monotone corner cannot mislead it), and
+    ``equilibrium._bisect`` refines the last feasible grid cell through the
+    same evaluation, six steps per call.  It stops once the midpoint repeats
+    an end, after which neither end can move, and after at most 60 steps;
+    the label is the final cell's midpoint.
 
     Raises ``DegeneratePrior`` for ``rho`` of 0 or 1, and ``NotBinary`` when
     no label is feasible, as for the uninformative high label 0.5 with
@@ -296,23 +280,8 @@ def binary_thresholds(spec: MarketSpec) -> BinaryThresholds:
         )
     else:
         last = feasible[-1]
-        lo, hi = float(grid[last]), float(grid[last + 1])
-        steps, stopped = 0, False
-        while steps < 60 and not stopped:
-            levels = min(_BISECTION_LEVELS, 60 - steps)
-            points = _bisection_midpoints(lo, hi, levels)
-            feasible_at = _reject_low_mask(spec, np.array(points), s_high)
-            node = 0
-            for _ in range(levels):
-                mid = points[node]
-                stopped = mid == lo or mid == hi
-                if stopped:
-                    break
-                if feasible_at[node]:
-                    lo, node = mid, 2 * node + 2
-                else:
-                    hi, node = mid, 2 * node + 1
-            steps += levels
+        holds = lambda x: _reject_low_mask(spec, x, s_high)
+        (lo,), (hi,) = _bisect(holds, [grid[last]], [grid[last + 1]], 60)
         dagger = 0.5 * (lo + hi)
     return BinaryThresholds(s_L_mute=mute, s_L_as=s_as, s_L_dagger=dagger)
 

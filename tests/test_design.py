@@ -29,6 +29,17 @@ from seqmarket.experiment import is_garbling_of
 from seqmarket.scenarios import demo_market, revealing_market, tight_market
 
 
+def _golden_markets() -> "list[MarketSpec]":
+    """The markets of the design goldens."""
+    return [
+        demo_market(),
+        tight_market(),
+        revealing_market(),
+        random_market(np.random.default_rng(6), m_choices=(4,), n_range=(2, 30)),
+        random_market(np.random.default_rng(2), m_choices=(5,), n_range=(2, 30)),
+    ]
+
+
 class TestGarblingFromParam:
     def test_threshold_at_signal_boundary(self):
         g = garbling_from_param(demo_market().experiment, 1.0)
@@ -209,18 +220,21 @@ class TestStructuralInvariants:
                 assert inside == is_ic(spec, garbling_from_param(spec.experiment, float(d)))
 
     def test_grid_reports_match_pointwise_reports(self):
-        spec = tight_market()
-        reports = garbling_grid(spec, 21)
-        diag = grid_diagnostics(spec, np.linspace(0.0, 2.0, 21))
-        for report, d, ic, surplus in zip(
-            reports, diag["D"], diag["is_ic"], diag["obeyed_surplus"]
-        ):
-            assert report.garbling.D == pytest.approx(float(d), abs=1e-12)
-            assert report.is_ic == bool(ic)
-            assert report.obeyed_surplus == pytest.approx(float(surplus), abs=1e-12)
-            assert report.obeyed_surplus == pytest.approx(
-                obeyed_surplus(spec, report.garbling), abs=1e-15
-            )
+        """Every key of a 401-point ``grid_diagnostics`` call is, row by row,
+        ``==`` what a one-point call gives: the row independence that the
+        batched bisections rely on.  Reports read those rows."""
+        rng = np.random.default_rng(31)
+        seeded = [random_market(rng, m_choices=(m,), n_range=(2, 50)) for m in (2, 3, 4, 5)]
+        for spec in _golden_markets() + seeded:
+            grid = np.linspace(0.0, float(spec.experiment.m), 401)
+            diag = grid_diagnostics(spec, grid)
+            points = [grid_diagnostics(spec, [d]) for d in grid]
+            for key, column in diag.items():
+                np.testing.assert_array_equal(column, [p[key][0] for p in points], err_msg=f"{key} {spec}")
+            for report, point in zip(garbling_grid(spec, 401), points):
+                assert report.garbling.D == point["D"][0]
+                assert report.is_ic == point["is_ic"][0]
+                assert report.obeyed_surplus == obeyed_surplus(spec, report.garbling) == point["obeyed_surplus"][0]
 
 
 class TestLargeMarkets:
@@ -284,21 +298,71 @@ def _max_irrelevant_param_80_steps(spec: MarketSpec) -> "tuple[float, bool]":
     return 0.0, False
 
 
+def _ic_intervals_one_call_per_step(spec: MarketSpec) -> "tuple[tuple[float, float], ...]":
+    """``ic_intervals`` as it was, with one ``grid_diagnostics`` call per
+    bisection step for all disagreeing scan cells together."""
+    m = spec.experiment.m
+    grid = np.linspace(0.0, float(m), m * design.IC_SCAN_PER_SEGMENT + 1)
+    ok = grid_diagnostics(spec, grid)["is_ic"]
+    cells = np.flatnonzero(ok[:-1] != ok[1:])
+    a, b, a_ok = grid[cells], grid[cells + 1], ok[cells]
+    active = np.flatnonzero(b - a > design.IC_REFINE_TOL)
+    while active.size:
+        mid = 0.5 * (a[active] + b[active])
+        up = grid_diagnostics(spec, mid)["is_ic"] == a_ok[active]
+        a[active[up]] = mid[up]
+        b[active[~up]] = mid[~up]
+        active = active[b[active] - a[active] > design.IC_REFINE_TOL]
+    edge = dict(zip(cells.tolist(), np.where(a_ok, a, b).tolist()))
+    starts = np.flatnonzero(ok & np.r_[True, ~ok[:-1]]).tolist()
+    stops = np.flatnonzero(ok & np.r_[~ok[1:], True]).tolist()
+    last = grid.size - 1
+    return tuple(
+        (edge[i - 1] if i else float(grid[0]), edge[j] if j < last else float(grid[last]))
+        for i, j in zip(starts, stops)
+    )
+
+
+def _search_markets() -> "list[MarketSpec]":
+    """The design-golden markets and 40 seeded ones."""
+    rng = np.random.default_rng(4711)
+    return _golden_markets() + [random_market(rng, m_choices=(2, 3, 4, 5), n_range=(2, 50)) for _ in range(40)]
+
+
 def test_max_irrelevant_param_stops_bisecting_without_moving():
     """Stopping once the midpoint repeats an end returns the float that 80
-    steps return, on the design-golden markets and 40 seeded ones."""
-    markets = [
-        demo_market(),
-        tight_market(),
-        revealing_market(),
-        random_market(np.random.default_rng(6), m_choices=(4,), n_range=(2, 30)),
-        random_market(np.random.default_rng(2), m_choices=(5,), n_range=(2, 30)),
-    ]
-    rng = np.random.default_rng(4711)
-    markets += [random_market(rng, m_choices=(2, 3, 4, 5), n_range=(2, 50)) for _ in range(40)]
+    steps return."""
     bisected = 0
-    for spec in markets:
+    for spec in _search_markets():
         want, did_bisect = _max_irrelevant_param_80_steps(spec)
         assert max_irrelevant_param(spec) == want, spec
         bisected += did_bisect
     assert bisected >= 10
+
+
+def test_ic_intervals_match_one_call_per_step():
+    """Six bisection steps per call return the boundaries of one call per step."""
+    refined = 0
+    for spec in _search_markets():
+        want = _ic_intervals_one_call_per_step(spec)
+        assert ic_intervals(spec) == want, spec
+        refined += sum(0.0 < lo or hi < spec.experiment.m for lo, hi in want)
+    assert refined >= 10
+
+
+def test_searches_batch_their_bisection_steps(monkeypatch):
+    """Six bisection steps per ``grid_diagnostics`` call.
+    ``max_irrelevant_param`` makes one call for the segment ends and at most
+    ceil(80 / 6) for its bisection.  ``ic_intervals`` makes one for its scan
+    and ceil(31 / 6) for the 31 halvings that take a 1/512 cell below
+    ``IC_REFINE_TOL``; the bound leaves one to spare."""
+    calls = []
+    diagnostics = design.grid_diagnostics
+    monkeypatch.setattr(design, "grid_diagnostics", lambda *args: calls.append(0) or diagnostics(*args))
+    for spec in _search_markets():
+        calls.clear()
+        max_irrelevant_param(spec)
+        assert len(calls) <= 1 + math.ceil(80 / 6), spec
+        calls.clear()
+        ic_intervals(spec)
+        assert len(calls) <= 8, spec

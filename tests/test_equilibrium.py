@@ -7,10 +7,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_market
 from seqmarket.equilibrium import (
     MarketSpec,
+    _bisect,
     _irrelevance_display,
     Strategy,
     benchmarks,
@@ -225,3 +228,64 @@ def test_irrelevance_display_never_divides_zero_by_zero():
     assert _irrelevance_display(0.5, 1.0, 4.0, 1.0, 1) == -math.inf
     margins = _irrelevance_display(0.5, 0.2, np.array([4.0, 1.0]), np.array([2.0, 0.5]), 2)
     np.testing.assert_array_equal(margins, [15.75, 0.0])
+
+
+def _bisect_one_call_per_step(holds, lo: float, hi: float, steps: int, width: float) -> "tuple[float, float]":
+    """``_bisect`` on one bracket, calling ``holds`` once per step."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if abs(hi - lo) <= width or mid == lo or mid == hi:
+            break
+        if holds(np.array([mid]))[0]:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+class TestBisect:
+    def test_reversed_bracket_moves_down_to_the_boundary(self):
+        (lo,), (hi,) = _bisect(lambda x: x >= 0.3, [1.0], [0.0], 60)
+        assert hi < 0.3 <= lo
+        assert (lo, hi) == _bisect_one_call_per_step(lambda x: x >= 0.3, 1.0, 0.0, 60, 0.0)
+
+    def test_width_stop(self):
+        calls = []
+        holds = lambda x: calls.append(x.size) or x <= 0.3
+        lo, hi = _bisect(holds, [0.0, -1.0], [1.0, 1.0], 60, 1e-3)
+        # 2**-10 < 1e-3 < 2**-9: the first bracket stops after ten steps,
+        # the second (twice as wide) after eleven, both within two calls.
+        assert [h - l for l, h in zip(lo, hi)] == [2.0**-10, 2.0**-10]
+        assert max(lo) <= 0.3 < min(hi)
+        assert calls == [2 * 63, 2 * 63]
+        # An empty bracket and one already within the width call nothing.
+        assert _bisect(holds, [0.5, 0.25], [0.5, 0.2505], 60, 1e-3) == ([0.5, 0.25], [0.5, 0.2505])
+        assert len(calls) == 2
+
+    def test_step_cap(self):
+        lo, hi = _bisect(lambda x: np.zeros(x.size, dtype=bool), [0.0], [1.0], 80)
+        assert (lo, hi) == ([0.0], [2.0**-80])
+
+    def test_always_true_stops_on_a_repeated_midpoint(self):
+        calls = []
+        lo, hi = _bisect(lambda x: calls.append(0) or np.ones(x.size, dtype=bool), [0.0], [1.0], 80)
+        assert (lo, hi) == ([math.nextafter(1.0, 0.0)], [1.0])
+        # 53 steps move lo; the 54th midpoint rounds to hi.
+        assert len(calls) == math.ceil(54 / 6)
+
+    @given(
+        brackets=st.lists(
+            st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), min_size=1, max_size=5
+        ),
+        t=st.floats(-1e3, 1e3),
+        steps=st.integers(0, 80),
+        width=st.sampled_from([0.0, 1e-12, 1e-6, 0.5]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_one_call_per_step(self, brackets, t, steps, width):
+        calls = []
+        holds = lambda x: calls.append(0) or x <= t
+        lo, hi = _bisect(holds, [a for a, _ in brackets], [b for _, b in brackets], steps, width)
+        want = [_bisect_one_call_per_step(lambda x: x <= t, a, b, steps, width) for a, b in brackets]
+        assert list(zip(lo, hi)) == want
+        assert len(calls) <= math.ceil(steps / 6)
