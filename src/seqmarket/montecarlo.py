@@ -3,26 +3,35 @@
 Each trial draws the asset quality, one signal and one uniform tie-breaker
 per buyer, and a uniform visit order; the seller visits buyers in that order
 until one accepts (a buyer with signal ``s`` and tie-breaker ``t`` accepts
-iff ``t <= sigma(s)``).  Trials are laid out in blocks of ``BLOCK_TRIALS``,
-each with its own counter-derived Philox stream, so results are bit-identical
-for a given configuration regardless of how blocks are scheduled.
+iff ``t < sigma(s)``, so ``sigma == 0`` never accepts and ``sigma == 1``
+always does).  Trials are laid out in blocks of ``BLOCK_TRIALS``, each with
+its own counter-derived Philox stream, so results are bit-identical for a
+given configuration regardless of how blocks are scheduled.
 
-Per block the stream is read in one fixed order: the quality of every trial,
-then a ``trials x n`` array each of signal uniforms, tie-breakers and (with a
-focal buyer) visit-order keys.  The arithmetic after the draws reads no
-further random numbers, so the kernel can be rewritten without moving an
-estimate: ``tests/reference_montecarlo.py`` keeps the earlier kernel, which
-sorts the visit order, on the same stream.
+Per block the stream is laid out in one fixed order: the quality of every
+trial, then a ``trials x n`` array each of signal uniforms, tie-breakers and
+(with a focal buyer) visit-order keys.  The kernel reads only the arrays the
+decisions depend on: no signal uniforms when ``sigma`` is the same for every
+outcome, no tie-breakers when every ``sigma`` is 0 or 1, and nothing after
+the qualities when every ``sigma`` is 0.  A skipped array still holds its
+place in the stream: Philox is counter-based, so ``_skip`` jumps over it and
+every later draw is the one a read would have left.  The arithmetic after
+the draws reads no further random numbers, so the kernel can be rewritten
+without moving an estimate: ``tests/reference_montecarlo.py`` keeps the
+earlier kernel, which reads every array and sorts the visit order, on the
+same stream.
 
 *Signals.*  A buyer with signal uniform ``u`` in state ``theta`` gets outcome
 ``min(#{j : cum_theta[j] < u}, m - 1)``, where ``cum_theta`` is the running sum
 of that state's masses; the clip covers a sum that ends below 1.  The kernel
 never forms the outcome.  With ``t`` the buyer's tie-breaker, it starts from
-the decision ``t <= sigma[m - 1]`` and walks the threshold chain
-``j = m - 2, ..., 0``, replacing the decision by ``t <= sigma[j]`` where
+the decision ``t < sigma[m - 1]`` and walks the threshold chain
+``j = m - 2, ..., 0``, replacing the decision by ``t < sigma[j]`` where
 ``u <= cum_theta[j]``; the last replacement is the outcome's own.  Steps with
 ``sigma[j] == sigma[j + 1]`` change nothing and are skipped, so a cutoff
-strategy takes at most two.
+strategy takes at most two.  For a pure strategy every step flips the
+decision, and the masks ``u <= cum_theta[j]`` are nested, so the decision is
+the top outcome's flipped once per mask that holds: no tie-breaker is read.
 
 *Visit order.*  The focal buyer is reached when no buyer whose order key is
 smaller than the focal buyer's accepts.  A buyer whose key equals the focal
@@ -49,8 +58,11 @@ every draw overwrites it: the signal uniforms become one boolean mask per
 chain step before the tie-breakers are drawn, and the visit-order keys are
 drawn once the accept decisions are formed.  ``simulate`` allocates the
 ``workers`` buffers in one array and frees it before it returns, so at most
-``MAX_WORKERS`` float arrays of a block are alive.  The per-block results
-take 7 floats, 56 bytes, per block: 3.5 KB for a million trials.
+``MAX_WORKERS`` float arrays of a block are alive.  A block that reads no
+``trials x n`` array (nobody accepts, or everybody does and there is no
+focal buyer) never writes to its buffer, so the buffer's pages are never
+made resident.  The per-block results take 7 floats, 56 bytes, per block:
+3.5 KB for a million trials.
 """
 
 from __future__ import annotations
@@ -139,12 +151,41 @@ def _worker_count() -> int:
     return min(len(mask) if mask is not None else os.cpu_count() or 1, MAX_WORKERS)
 
 
+def _skip(rng: Generator, drawn: int, words: int) -> None:
+    """Move ``rng``, which has handed out ``drawn`` words, past its next
+    ``words`` words, so that every later draw is the one a read would have
+    left.  Philox makes its words four at a time: the rest of the current
+    four are read, whole fours are jumped over by advancing the counter, and
+    the remainder is read.  ``advance`` discards the buffered words, so it is
+    called only once the buffer is used up."""
+    bits = rng.bit_generator
+    head = min(-drawn % 4, words)
+    tail = words - head
+    if head:
+        bits.random_raw(head)
+    if tail >= 4:
+        bits.advance(tail // 4)
+    if tail % 4:
+        bits.random_raw(tail % 4)
+
+
+def _any_rows(mask: np.ndarray) -> np.ndarray:
+    """``mask.any(axis=1)`` for a 2-d bool array, several times faster for a
+    few columns: byte sums over runs of at most 255 columns, which a
+    ``uint8`` sum holds without wrapping."""
+    cells = mask.view(np.uint8)
+    hits = np.einsum("ij->i", cells[:, :255])
+    for start in range(255, mask.shape[1], 255):
+        hits |= np.einsum("ij->i", cells[:, start : start + 255])
+    return hits != 0
+
+
 def _block_sums(
     spec: MarketSpec,
     sigma: np.ndarray,
-    cum_l: np.ndarray,
-    cum_h: np.ndarray,
+    cum: np.ndarray,
     steps: list[int],
+    mixing: bool,
     focal: int | None,
     seed: int,
     trials: int,
@@ -154,34 +195,66 @@ def _block_sums(
     """Draw block ``block`` of ``trials`` into the leading rows of ``buf``
     (one row per trial, one column per buyer) and return its counts and
     sums: High trials, trades in each state, the surplus and its square,
-    and visits of the focal buyer, all and in the High state."""
+    and visits of the focal buyer, all and in the High state.  Only the
+    arrays the decisions read are drawn; the others are skipped."""
     size = min(BLOCK_TRIALS, trials - block * BLOCK_TRIALS)
-    buf = buf[:size]
     rng = _block_rng(seed, block)
     theta_high = rng.random(size) < spec.rho
-    sig_u = rng.random(out=buf)
-    below = [sig_u <= np.where(theta_high, cum_h[j], cum_l[j])[:, None] for j in steps]
-    tie_u = rng.random(out=buf)
+    n_high = np.count_nonzero(theta_high)
+    if not sigma.any():
+        # Nobody accepts: no trade, and the focal buyer is always reached.
+        return (n_high, 0, 0, 0.0, 0.0, *((size, n_high) if focal is not None else (0, 0)))
 
-    # The threshold chain on accept decisions; the xor form of
-    # ``where(below, tie_u <= sigma[j], accepts)`` runs without branches.
-    accepts = tie_u <= sigma[-1]
-    for j, below_j in zip(steps, below):
-        accepts ^= ((tie_u <= sigma[j]) ^ accepts) & below_j
-    trade = accepts.any(axis=1)
-    gain = np.where(theta_high, 1.0 - spec.c, -spec.c) * trade
+    # Indexes the columns (Low, High) of per-state values; a gather reads
+    # the same floats as ``np.where`` on the mask, in a fraction of the time.
+    state = theta_high.view(np.uint8)
+    buf = buf[:size]
+    cells = buf.size
+    drawn = size  # words of the stream handed out so far, read or skipped
+    below = []
+    if steps:
+        sig_u = rng.random(out=buf)
+        drawn += cells
+        below = [sig_u <= cum[j].take(state)[:, None] for j in steps]
+    if mixing:
+        _skip(rng, drawn, size + cells - drawn)
+        tie_u = rng.random(out=buf)
+        drawn = size + 2 * cells
+        # The threshold chain on accept decisions; the xor form of
+        # ``where(below, tie_u < sigma[j], accepts)`` runs without branches.
+        accepts = tie_u < sigma[-1]
+        for j, below_j in zip(steps, below):
+            accepts ^= ((tie_u < sigma[j]) ^ accepts) & below_j
+    elif steps:
+        # A pure strategy decides without tie-breakers, and each step flips
+        # the decision.  The masks are nested, so a buyer's decision is the
+        # top outcome's flipped once per mask that holds.
+        accepts = below[0]
+        for below_j in below[1:]:
+            accepts ^= below_j
+        if sigma[-1]:
+            np.logical_not(accepts, out=accepts)
+    else:
+        accepts = None  # everybody accepts
+
+    trade = np.ones(size, dtype=bool) if accepts is None else _any_rows(accepts)
+    gain = np.array([-spec.c, 1.0 - spec.c]).take(state) * trade
     sums = (
-        int(theta_high.sum()),
-        int((trade & theta_high).sum()),
-        int((trade & ~theta_high).sum()),
+        n_high,
+        np.count_nonzero(trade & theta_high),
+        np.count_nonzero(trade & ~theta_high),
         float(gain.sum()),
         float((gain * gain).sum()),
     )
     if focal is None:
         return (*sums, 0, 0)
+    _skip(rng, drawn, size + 2 * cells - drawn)
     order_u = rng.random(out=buf)
-    reached = ~(accepts & (order_u < order_u[:, focal : focal + 1])).any(axis=1)
-    return (*sums, int(reached.sum()), int((reached & theta_high).sum()))
+    earlier = order_u < order_u[:, focal : focal + 1]
+    if accepts is not None:
+        earlier &= accepts
+    reached = ~_any_rows(earlier)
+    return (*sums, np.count_nonzero(reached), np.count_nonzero(reached & theta_high))
 
 
 def simulate(spec: MarketSpec, strategy: Strategy, config: SimConfig) -> SimEstimate:
@@ -199,13 +272,15 @@ def simulate(spec: MarketSpec, strategy: Strategy, config: SimConfig) -> SimEsti
     trials = config.trials
     sigma = strategy.as_array()
     steps = [j for j in range(spec.experiment.m - 2, -1, -1) if sigma[j] != sigma[j + 1]]
+    mixing = bool(((0.0 < sigma) & (sigma < 1.0)).any())
     run = partial(
         _block_sums,
         spec,
         sigma,
-        np.cumsum(spec.experiment.p_L_array()),
-        np.cumsum(spec.experiment.p_H_array()),
+        # Cumulative signal masses, one row per outcome, Low then High.
+        np.cumsum([spec.experiment.p_L_array(), spec.experiment.p_H_array()], axis=1).T,
         steps,
+        mixing,
         focal,
         config.seed,
         trials,
@@ -215,7 +290,11 @@ def simulate(spec: MarketSpec, strategy: Strategy, config: SimConfig) -> SimEsti
 
     # Allocated by the caller: buffers the workers allocated came from
     # per-thread malloc arenas, and the commands that ran after a
-    # simulation in the same process measured slower and larger.
+    # simulation in the same process measured slower and larger.  Allocated
+    # also when the blocks draw nothing into them: untouched, the array
+    # takes no resident memory, and freeing it raises glibc's dynamic mmap
+    # threshold; without that, sweeps run later in the same process
+    # page-faulted on their temporaries and measured 7-13% slower.
     buffers = np.empty((workers, min(BLOCK_TRIALS, trials), spec.n))
     # One row of counts and sums per block; a count is at most
     # ``BLOCK_TRIALS``, so float64 holds it exactly.

@@ -1,11 +1,13 @@
 """The Monte Carlo block kernel as it was before the threshold chain, kept
 as the test reference.
 
-Per block it draws the same four arrays from the same stream as
-``seqmarket.montecarlo``, then finds each buyer's signal from a
-``size x n x m`` comparison against the cumulative masses and decides whether
-the focal buyer is reached by sorting the visit order.  It is slower but
-plain, and the package kernel must reproduce its estimates exactly.
+Per block it reads every array of the stream layout that
+``seqmarket.montecarlo`` uses, including those the package kernel skips, then
+finds each buyer's signal from a ``size x n x m`` comparison against the
+cumulative masses and decides whether the focal buyer is reached by sorting
+the visit order.  A buyer accepts iff its tie-breaker is strictly below
+sigma.  It is slower but plain, and the package kernel must reproduce its
+estimates exactly.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ def simulate(spec: MarketSpec, strategy: Strategy, config: SimConfig) -> SimEsti
         signals = np.minimum(
             (sig_u[:, :, None] > cum[:, None, :]).sum(axis=2), m - 1
         )
-        accepts = tie_u <= sigma[signals]
+        accepts = tie_u < sigma[signals]
         trade = accepts.any(axis=1)
 
         n_high += int(theta_high.sum())

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+import reference_montecarlo
 import seqmarket.montecarlo as montecarlo
 from conftest import random_market
 from reference_montecarlo import simulate as reference_simulate
@@ -179,19 +180,105 @@ class TestReferenceKernel:
     @pytest.mark.parametrize("other_key, reached", [(0.5, True), (0.25, False)])
     def test_visit_order_tie_counts_the_other_buyer_after(self, monkeypatch, other_key, reached):
         """Both buyers accept.  Buyer 0 comes before focal buyer 1 only when
-        its visit-order key is strictly smaller; an equal key counts as later."""
-        _script(monkeypatch, [0.0], [[0.0, 0.0]], [[0.0, 0.0]], [[other_key, 0.5]])
+        its visit-order key is strictly smaller; an equal key counts as later.
+        Everybody accepts, so the signal uniforms and tie-breakers, two words
+        per buyer, are skipped."""
+        rng = _script(monkeypatch, [0.0], [[other_key, 0.5]])
         est = simulate(demo_market(), Strategy((1.0, 1.0)), SimConfig(trials=1, seed=0, focal_buyer=1))
         assert (est.interim_estimate == 1.0) if reached else math.isnan(est.interim_estimate)
+        assert rng.draws == [] and rng.skipped == 4
 
     @pytest.mark.parametrize("u, trades", [(0.8, False), (np.nextafter(0.8, 1.0), True)])
     def test_signal_uniform_on_a_cumulative_mass_takes_the_lower_outcome(self, monkeypatch, u, trades):
         """In the Low state the demo market's first cumulative mass is 0.8: a
         uniform equal to it draws the rejected outcome 0, the next float the
         accepted outcome 1."""
-        _script(monkeypatch, [0.9], [[u]], [[0.5]])
+        rng = _script(monkeypatch, [0.9], [[u]])
         est = simulate(demo_market(n=1), Strategy((0.0, 1.0)), SimConfig(trials=1, seed=0))
         assert est.trade_prob_L == float(trades)
+        assert rng.draws == [] and rng.skipped == 0
+
+    @pytest.mark.parametrize("kernel", [simulate, reference_simulate], ids=["kernel", "reference"])
+    def test_a_zero_tie_breaker_does_not_accept_at_sigma_zero(self, monkeypatch, kernel):
+        """A buyer accepts iff its tie-breaker is strictly below sigma, so the
+        rejected outcome 0 stays rejected even for a tie-breaker of 0.0."""
+        rng = _script(monkeypatch, [0.9], [[0.1]], [[0.0]])
+        # The reference reads the same three scripted arrays.
+        monkeypatch.setattr(reference_montecarlo, "_block_rng", montecarlo._block_rng)
+        est = kernel(demo_market(n=1), Strategy((0.0, 0.5)), SimConfig(trials=1, seed=0))
+        assert est.trade_prob_L == 0.0
+        assert rng.draws == []
+
+
+class TestSkippedDraws:
+    """A block skips the arrays its decisions do not read, and every later
+    draw keeps its place in the stream."""
+
+    @pytest.mark.parametrize("offset", range(8))
+    def test_skipping_words_leaves_the_draws_reading_them_leaves(self, offset):
+        """From every place in Philox's four-word buffer, skips of 0 to 9
+        words and one of about a million."""
+        for words in (*range(10), 10**6 + 3):
+            read, skipped = montecarlo._block_rng(5, offset), montecarlo._block_rng(5, offset)
+            read.random(offset + words)
+            skipped.random(offset)
+            montecarlo._skip(skipped, offset, words)
+            assert np.array_equal(skipped.random(9), read.random(9)), words
+
+    @pytest.mark.parametrize(
+        "accept, focal, arrays",
+        [
+            ((0.0, 0.0), None, 0),  # nobody accepts: the qualities only
+            ((0.0, 0.0), 1, 0),
+            ((1.0, 1.0), None, 0),  # everybody accepts
+            ((1.0, 1.0), 1, 1),  # the visit-order keys
+            ((0.0, 1.0), None, 1),  # pure: the signal uniforms, no tie-breakers
+            ((0.0, 1.0), 1, 2),
+            ((0.45, 0.45), 1, 2),  # one sigma: the tie-breakers, no signal uniforms
+            ((0.0, 0.6), None, 2),  # mixing: everything, as before the skips
+            ((0.0, 0.6), 1, 3),
+        ],
+        ids=str,
+    )
+    def test_words_read_per_block(self, monkeypatch, accept, focal, arrays):
+        """Counts the words each block reads: the ``size`` qualities and
+        ``arrays`` arrays of ``size x n``."""
+        real, read = montecarlo._block_rng, {}
+
+        def block_rng(seed, block):
+            read[block] = _Counting(real(seed, block))
+            return read[block]
+
+        monkeypatch.setattr(montecarlo, "_block_rng", block_rng)
+        spec, strategy = demo_market(3), Strategy(accept)
+        config = SimConfig(trials=montecarlo.BLOCK_TRIALS + 77, seed=2, focal_buyer=focal)
+        estimate = simulate(spec, strategy, config)
+        sizes = {0: montecarlo.BLOCK_TRIALS, 1: 77}
+        assert {block: rng.words for block, rng in read.items()} == {
+            block: size * (1 + arrays * spec.n) for block, size in sizes.items()
+        }
+        assert _fields(estimate) == _fields(reference_simulate(spec, strategy, config))
+
+
+# Markets wide enough that a buyer count per trial passes 255: everybody
+# accepts, and in ``all_high_top`` every buyer of a High trial accepts.
+WIDE_CASES = {
+    f"{name}_{n}": (spec, accept)
+    for n in (256, 512)
+    for name, spec, accept in (
+        ("accept_all", demo_market(n), (1.0, 1.0)),
+        ("all_high_top", MarketSpec(0.5, 0.2, n, build_experiment([(0.5, 0.0), (0.5, 1.0)])), (0.0, 1.0)),
+    )
+}
+
+
+@pytest.mark.parametrize("focal", [None, 0, 255])
+@pytest.mark.parametrize("name", sorted(WIDE_CASES))
+def test_wide_markets_equal_the_reference(name, focal):
+    spec, accept = WIDE_CASES[name]
+    config = SimConfig(trials=600, seed=3, focal_buyer=focal)
+    expected = _fields(reference_simulate(spec, Strategy(accept), config))
+    assert _fields(simulate(spec, Strategy(accept), config)) == expected
 
 
 class TestScheduling:
@@ -277,10 +364,23 @@ class TestScheduling:
 
 
 class _Scripted:
-    """Stands in for a block's generator and hands out the given draws in turn."""
+    """Stands in for a block's generator: hands out the given draws in turn
+    and counts the words skipped past them."""
 
     def __init__(self, *draws):
         self.draws = list(draws)
+        self.skipped = 0
+
+    @property
+    def bit_generator(self):
+        # ``montecarlo._skip`` skips words through the bit generator.
+        return self
+
+    def random_raw(self, size):
+        self.skipped += size
+
+    def advance(self, delta):
+        self.skipped += 4 * delta
 
     def random(self, size=None, out=None):
         value = self.draws.pop(0)
@@ -290,5 +390,21 @@ class _Scripted:
         return out
 
 
-def _script(monkeypatch, *draws) -> None:
-    monkeypatch.setattr(montecarlo, "_block_rng", lambda seed, block: _Scripted(*draws))
+def _script(monkeypatch, *draws) -> _Scripted:
+    """Makes the one block of a simulation draw ``draws``."""
+    rng = _Scripted(*draws)
+    monkeypatch.setattr(montecarlo, "_block_rng", lambda seed, block: rng)
+    return rng
+
+
+class _Counting:
+    """Wraps a block's generator and counts the words its reads take."""
+
+    def __init__(self, rng):
+        self.rng, self.words = rng, 0
+        self.bit_generator = rng.bit_generator
+
+    def random(self, size=None, out=None):
+        drawn = self.rng.random(size, out=out)
+        self.words += drawn.size
+        return drawn
