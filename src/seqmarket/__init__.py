@@ -27,7 +27,6 @@ from .experiment import (
     binary_experiment_from_labels,
     binary_masses_from_labels,
     build_experiment,
-    is_blackwell_geq_binary,
     is_garbling_of,
     posterior,
 )

@@ -10,6 +10,25 @@ garbling under which adverse selection is irrelevant when that garbling's
 recommendations are incentive compatible, and otherwise the better of the
 nearest IC points on either side of the peak.
 
+The family is without loss among all binary recommendation rules
+``t in [0, 1]^m`` (accept outcome ``i`` with probability ``t_i``).  A rule
+enters the obeyed surplus and both IC gaps only through its accept masses
+``(a_L, a_H) = (t . p_L, t . p_H)``, with reject masses ``r = 1 - a``.  At a
+given ``a_L`` the largest ``a_H`` accepts the rows in descending
+likelihood-ratio order (Neyman-Pearson): a monotone garbling, a point of the
+experiment's likelihood-ratio frontier.  Raising ``a_H`` at fixed ``a_L``
+
+- raises the obeyed surplus ``rho (1-c) (1 - r_H^n) - (1-rho) c (1 - r_L^n)``;
+- raises the accept gap, whose sign at the consistent interim belief is that
+  of ``rho (1-c) (1 - r_H^n) - (1-rho) c a_L G(r_L)``, where
+  ``G(r) = sum_{k<n} r^k``;
+- lowers the reject gap, whose sign is that of
+  ``rho (1-c) r_H G(r_H) - (1-rho) c r_L G(r_L)``, since ``r G(r)`` rises
+  in ``r``.
+
+So moving a rule to the frontier keeps it IC and weakly raises its obeyed
+surplus, and the best IC monotone garbling is the best IC rule.
+
 ``grid_diagnostics`` evaluates garblings, vectorised over ``D``; the search,
 the reports and the one-garbling predicates all read its rows.
 """

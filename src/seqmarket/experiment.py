@@ -6,6 +6,9 @@ labelled by the normalised ratio ``p_H / (p_H + p_L)``, so that the label's
 odds equal the outcome's likelihood ratio.  All belief arithmetic runs on
 unreduced odds pairs so that a fully revealing outcome (``p_L == 0``, i.e.
 likelihood ratio +inf) is exact rather than an overflow.
+
+Experiments are compared in the Blackwell order through their
+likelihood-ratio frontiers (``is_garbling_of``).
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .errors import (
 )
 
 COLUMN_SUM_TOL = 1e-9
-GARBLING_FEASIBILITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -340,61 +342,25 @@ def apply_local_spread(
     return _validated(new_outcomes)
 
 
-def is_blackwell_geq_binary(better: FiniteExperiment, base: FiniteExperiment) -> bool:
-    """Blackwell comparison for binary experiments, by labels.
-
-    ``better`` dominates iff its low label is weakly lower (stronger bad news)
-    and its high label weakly higher (stronger good news).
-    """
-    if not better.is_binary() or not base.is_binary():
-        raise NotBinary("Blackwell label criterion applies to binary experiments only")
-
-    def leq_with_slack(a: OddsRatio, b: OddsRatio) -> bool:
-        lhs, rhs = a.num * b.den, b.num * a.den
-        return lhs <= rhs + 1e-12 * max(lhs, rhs)
-
-    lo_ok = leq_with_slack(better.likelihood_ratio(0), base.likelihood_ratio(0))
-    hi_ok = leq_with_slack(base.likelihood_ratio(1), better.likelihood_ratio(1))
-    return lo_ok and hi_ok
-
-
 def is_garbling_of(coarse: FiniteExperiment, fine: FiniteExperiment) -> bool:
-    """Whether ``coarse`` is a Markov coarsening of ``fine``.
+    """Whether ``coarse`` is a garbling (Markov coarsening) of ``fine``.
 
-    Decided by a small linear program: does a row-stochastic nonnegative
-    matrix ``T`` with ``P_fine @ T = P_coarse`` exist?  The LP minimises the
-    total L1 mismatch of the mass constraints under exact row-stochasticity;
-    feasible means every mass constraint holds within
-    ``GARBLING_FEASIBILITY_TOL``.
+    With two states this is decided on the likelihood-ratio frontier
+    (Blackwell 1953; Torgersen 1991): ``coarse`` is a garbling of ``fine``
+    iff ``V_coarse(lam) <= V_fine(lam)`` for every ``lam >= 0``, where
+    ``V(lam) = sum_i max(p_H,i - lam * p_L,i, 0)`` is, up to scale, one
+    buyer's surplus at reservation odds ``lam``.  Both ``V`` are convex and
+    piecewise linear, with kinks at the outcomes' likelihood ratios; between
+    two kinks of ``V_fine`` the excess ``V_coarse - V_fine`` is convex, so
+    it peaks at an end.  Hence the test at each finite likelihood ratio of
+    ``fine`` and, as ``lam -> inf``, on the revealing masses
+    ``sum_{p_L == 0} p_H`` (at ``lam = 0`` both ``V`` are 1), each with a
+    slack of 1e-9.
     """
-    # Imported here: scipy.optimize costs most of the package's import time
-    # and nothing else uses it.
-    from scipy.optimize import linprog
-
-    m, r = fine.m, coarse.m
-    n_t = m * r
-    # Variables: T entries, then (u, v) slack pairs for the 2r mass equations.
-    n_var = n_t + 4 * r
-    c = np.concatenate([np.zeros(n_t), np.ones(4 * r)])
-    a_eq = np.zeros((m + 2 * r, n_var))
-    b_eq = np.zeros(m + 2 * r)
-    for i in range(m):  # row-stochasticity, exact
-        a_eq[i, i * r : (i + 1) * r] = 1.0
-        b_eq[i] = 1.0
-    p_fine = np.vstack([fine.p_L_array(), fine.p_H_array()])
-    p_coarse = np.vstack([coarse.p_L_array(), coarse.p_H_array()])
-    for state in range(2):
-        for jj in range(r):
-            row = m + state * r + jj
-            for i in range(m):
-                a_eq[row, i * r + jj] = p_fine[state, i]
-            slack = n_t + 2 * (state * r + jj)
-            a_eq[row, slack] = 1.0
-            a_eq[row, slack + 1] = -1.0
-            b_eq[row] = p_coarse[state, jj]
-    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
-    if not res.success:
-        return False
-    t = res.x[:n_t].reshape(m, r)
-    residual = np.abs(p_fine @ t - p_coarse).max()
-    return bool(residual <= GARBLING_FEASIBILITY_TOL)
+    p_l, p_h = fine.p_L_array(), fine.p_H_array()
+    with np.errstate(divide="ignore", over="ignore"):
+        lam = p_h / p_l
+    lam = lam[np.isfinite(lam), None]
+    frontier = lambda e: np.maximum(e.p_H_array() - lam * e.p_L_array(), 0.0).sum(axis=1)
+    revealing = lambda e: e.p_H_array()[e.p_L_array() == 0.0].sum()
+    return bool((frontier(coarse) <= frontier(fine) + 1e-9).all() and revealing(coarse) <= revealing(fine) + 1e-9)

@@ -35,7 +35,6 @@ from .experiment import (
     OddsRatio,
     apply_local_spread,
     binary_masses_from_labels,
-    is_blackwell_geq_binary,
     is_garbling_of,
 )
 
@@ -343,19 +342,12 @@ def single_buyer_blackwell_check(
 ) -> bool:
     """Single-buyer surplus dominance of ``better`` over ``base`` on a grid.
 
-    The pair must be Blackwell ordered in some direction (binary label
-    criterion or a garbling relation either way); the returned boolean then
-    reports whether ``better`` dominates, so a reversed strict improvement
-    is comparable but returns false at some grid point.
+    The pair must be Blackwell ordered in some direction, decided on the
+    likelihood-ratio frontier (``is_garbling_of`` either way); the returned
+    boolean then reports whether ``better`` dominates, so a reversed strict
+    improvement is comparable but returns false at some grid point.
     """
-    comparable = False
-    if better.is_binary() and base.is_binary():
-        comparable = is_blackwell_geq_binary(better, base) or is_blackwell_geq_binary(
-            base, better
-        )
-    if not comparable:
-        comparable = is_garbling_of(base, better) or is_garbling_of(better, base)
-    if not comparable:
+    if not (is_garbling_of(base, better) or is_garbling_of(better, base)):
         raise NotComparable("experiments are not Blackwell ordered")
     for rho in rho_grid:
         for c in c_grid:

@@ -23,7 +23,14 @@ from seqmarket.design import (
     obeyed_surplus,
     optimal_garbling,
 )
-from seqmarket.equilibrium import MarketSpec, _irrelevance_display
+from seqmarket.equilibrium import (
+    INDIFFERENCE_TOL,
+    MarketSpec,
+    _gaps,
+    _irrelevance_display,
+    interim_from_rejections,
+    surplus_from_rejections,
+)
 from seqmarket.errors import ParamOutOfRange
 from seqmarket.experiment import is_garbling_of
 from seqmarket.scenarios import demo_market, revealing_market, tight_market
@@ -272,6 +279,51 @@ def test_optimum_is_ic_and_beats_every_ic_grid_point():
         grid = garbling_grid(spec, 401)
         best = max(r.obeyed_surplus for r in grid if r.is_ic)
         assert best <= report.obeyed_surplus + 1e-9, spec
+
+
+def test_no_binary_recommendation_rule_beats_the_optimum():
+    """The monotone family is without loss (the module docstring's
+    argument): on 100 seeded markets (m = 2-5, n = 1-29), 2000 random rules
+    ``t in [0, 1]^m`` each, a tenth of them deterministic, no IC rule has
+    obeyed surplus above ``optimal_garbling``'s by more than 1e-13.  IC and
+    surplus are read as ``grid_diagnostics`` reads them, from the rule's
+    accept and reject masses.  The largest excess seen over 400 such
+    markets was 6.3e-15, float noise."""
+    rng = np.random.default_rng(1953)
+    ic_rules = 0
+    for _ in range(100):
+        spec = random_market(rng, m_choices=(2, 3, 4, 5), n_range=(1, 29))
+        p_l, p_h = spec.experiment.p_L_array(), spec.experiment.p_H_array()
+        t = rng.uniform(size=(2000, spec.experiment.m))
+        t[:200] = np.round(t[:200])
+        a_l, a_h, r_l, r_h = t @ p_l, t @ p_h, (1.0 - t) @ p_l, (1.0 - t) @ p_h
+        psi = interim_from_rejections(spec.rho, r_l, r_h, spec.n)
+        ic = ((r_l + r_h == 0.0) | (_gaps(spec.c, r_l, r_h, psi) <= INDIFFERENCE_TOL)) & (
+            (a_l + a_h == 0.0) | (_gaps(spec.c, a_l, a_h, psi) >= -INDIFFERENCE_TOL)
+        )
+        surplus = surplus_from_rejections(spec, r_l, r_h)[ic]
+        assert surplus.max(initial=-np.inf) <= optimal_garbling(spec).obeyed_surplus + 1e-13, spec
+        ic_rules += ic.sum()
+    assert ic_rules >= 10_000
+
+
+def test_obeyed_surplus_is_unimodal_along_the_parameter():
+    """What ``optimal_garbling`` relies on: on 100 seeded markets (m = 2-5,
+    n = 1-199) and a 400-point-per-segment grid, obeyed surplus never falls
+    before its grid maximum nor rises after it, up to plateaus flat to
+    1e-15, and that maximum is the surplus at the largest irrelevant
+    parameter D*, to 1e-15.  The largest such step seen over 1000 markets
+    was 1.1e-16."""
+    rng = np.random.default_rng(1953)
+    for _ in range(100):
+        spec = random_market(rng, m_choices=(2, 3, 4, 5), n_range=(1, 199))
+        m = spec.experiment.m
+        surplus = grid_diagnostics(spec, np.linspace(0.0, m, 400 * m + 1))["obeyed_surplus"]
+        peak = int(np.argmax(surplus))
+        steps = np.diff(surplus)
+        assert (steps[:peak] >= -1e-15).all() and (steps[peak:] <= 1e-15).all(), spec
+        at_d_star = design.report_at(spec, max_irrelevant_param(spec)).obeyed_surplus
+        assert surplus[peak] <= at_d_star + 1e-15, spec
 
 
 

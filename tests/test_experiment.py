@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import reference_solver as reference
 import seqmarket.experiment as experiment
+from seqmarket.equilibrium import single_buyer_surplus
 from seqmarket.errors import (
     ColumnSumMismatch,
     InfeasibleSpread,
@@ -27,7 +28,6 @@ from seqmarket.experiment import (
     binary_experiment_from_labels,
     binary_masses_from_labels,
     build_experiment,
-    is_blackwell_geq_binary,
     is_garbling_of,
     posterior,
 )
@@ -173,25 +173,28 @@ class TestLocalSpread:
         assert spread.m == 4
 
 
-class TestBlackwellBinary:
-    def test_stronger_bad_news_dominates(self):
-        better = binary_experiment_from_labels(0.1, 0.8)
-        base = binary_experiment_from_labels(0.2, 0.8)
-        assert is_blackwell_geq_binary(better, base)
-
-    def test_reflexive(self):
-        exp = build_experiment(DEMO_PAIRS)
-        assert is_blackwell_geq_binary(exp, exp)
-
-    def test_lower_top_label_fails(self):
-        better = binary_experiment_from_labels(0.1, 0.7)
-        base = binary_experiment_from_labels(0.2, 0.8)
-        assert not is_blackwell_geq_binary(better, base)
-
-    def test_not_binary_raises(self):
-        ternary = build_experiment([(0.5, 0.2), (0.3, 0.3), (0.2, 0.5)])
-        with pytest.raises(NotBinary):
-            is_blackwell_geq_binary(ternary, build_experiment(DEMO_PAIRS))
+# True garblings (coarse, fine) with skewed masses, as ``build_experiment``
+# mass pairs.  A linear-program check, whose solver met the mass equations
+# only to about 1e-7, rejected both.
+SKEWED_GARBLINGS = [
+    (
+        [
+            (0.06609548614721186, 0.001120180713014349),
+            (0.19744048161109942, 0.0330895530262452),
+            (0.2884565897580681, 0.32456947172861816),
+            (0.4480074424836206, 0.6412207945321223),
+        ],
+        [(0.3042029362113147, 0.00412469214117951), (0.6957970637886852, 0.9958753078588205)],
+    ),
+    (
+        [
+            (0.003937741368776337, 0.0035819723420334104),
+            (0.6252353998013963, 0.6253461186047288),
+            (0.3708268588298274, 0.37107190905323795),
+        ],
+        [(0.001578066473271711, 0.0009182568853734871), (0.9984219335267284, 0.9990817431146266)],
+    ),
+]
 
 
 class TestGarblingOf:
@@ -207,6 +210,37 @@ class TestGarblingOf:
     def test_fully_revealing_is_not_a_garbling_of_noisy(self):
         revealing = build_experiment([(1.0, 0.0), (0.0, 1.0)])
         assert not is_garbling_of(revealing, build_experiment(DEMO_PAIRS))
+
+    def test_reflexive(self):
+        for exp in (
+            build_experiment(DEMO_PAIRS),
+            binary_experiment_from_labels(0.2, 0.8),
+            build_experiment([(1.0, 0.0), (0.0, 1.0)]),
+            build_experiment([(1.0, 0.5), (0.0, 0.5)]),
+        ):
+            assert is_garbling_of(exp, exp)
+
+    def test_stronger_bad_news_dominates(self):
+        better = binary_experiment_from_labels(0.1, 0.8)
+        base = binary_experiment_from_labels(0.2, 0.8)
+        assert is_garbling_of(base, better)
+
+    def test_lower_top_label_fails(self):
+        better = binary_experiment_from_labels(0.1, 0.7)
+        base = binary_experiment_from_labels(0.2, 0.8)
+        assert not is_garbling_of(base, better)
+
+    def test_nearly_revealing_is_not_revealing(self):
+        # The top likelihood ratio of the fine experiment overflows to +inf,
+        # so only the revealing masses tell the two apart.
+        revealing = build_experiment([(1.0, 0.5), (0.0, 0.5)])
+        nearly = build_experiment([(1.0, 0.5), (1e-310, 0.5)])
+        assert not is_garbling_of(revealing, nearly)
+        assert is_garbling_of(nearly, revealing)
+
+    @pytest.mark.parametrize("coarse, fine", SKEWED_GARBLINGS)
+    def test_skewed_true_garbling(self, coarse, fine):
+        assert is_garbling_of(build_experiment(coarse), build_experiment(fine))
 
 
 # Hypothesis strategies: bounded random experiments and feasible spreads.
@@ -272,6 +306,101 @@ def test_spread_conserves_mass_and_refines(case):
     assert math.fsum(o.p_H for o in spread.outcomes) == pytest.approx(1.0, abs=1e-12)
     assert all(a <= b + 1e-12 for a, b in zip(spread.labels, spread.labels[1:]))
     assert is_garbling_of(exp, spread)
+
+
+def _random_masses(rng, m, min_mass):
+    """A ``(2, m)`` array of ``(p_L, p_H)`` rows, log-uniform down to
+    ``min_mass`` before normalising; a fifth of them have a revealing top
+    outcome (``p_L == 0``), and half of those a revealing bottom one too."""
+    p = 10.0 ** rng.uniform(math.log10(min_mass), 0.0, size=(2, m))
+    if m > 1 and rng.random() < 0.2:
+        p[0, -1] = 0.0
+        if rng.random() < 0.5:
+            p[1, 0] = 0.0
+    return p / p.sum(axis=1, keepdims=True)
+
+
+def _garble(rng, p, r):
+    """``p @ T`` for a random ``m x r`` garbling ``T``: deterministic (one 1
+    per row) or row-stochastic, half of the time each."""
+    m = p.shape[1]
+    if rng.random() < 0.5:
+        t = np.zeros((m, r))
+        t[np.arange(m), rng.integers(0, r, size=m)] = 1.0
+    else:
+        t = rng.dirichlet(np.full(r, 0.5), size=m)
+    return p @ t
+
+
+def _experiment(p):
+    return build_experiment(list(zip(p[0], p[1])))
+
+
+def _largest_violation(coarse, fine):
+    """The largest excess of ``V_coarse`` over ``V_fine``, with
+    ``V(lam) = sum_i max(p_H,i - lam * p_L,i, 0)``, and the ``lam`` where it
+    lies.  ``V`` is read at 0, at every finite likelihood ratio of either
+    experiment and at twice the largest, beyond which each ``V`` is its
+    experiment's revealing mass."""
+    masses = [(e.p_L_array(), e.p_H_array()) for e in (coarse, fine)]
+    ratios = [h / l for p_l, p_h in masses for l, h in zip(p_l, p_h) if l > 0.0]
+    v = lambda lam, p_l, p_h: np.maximum(p_h - lam * p_l, 0.0).sum()
+    return max((v(lam, *masses[0]) - v(lam, *masses[1]), lam) for lam in [0.0, *ratios, 2.0 * max(ratios)])
+
+
+WITNESS_GRID = np.linspace(0.025, 0.975, 41)
+
+
+def _surpluses(rho, c, exp):
+    """One buyer's surplus at each ``(rho[k], c[k])``: where the posterior
+    beats ``c``, the gain ``rho * p_H * (1 - c) - (1 - rho) * p_L * c``."""
+    rho, c = rho[:, None], c[:, None]
+    gains = rho * exp.p_H_array() * (1.0 - c) - (1.0 - rho) * exp.p_L_array() * c
+    return np.maximum(gains, 0.0).sum(axis=1)
+
+
+def test_garbling_verdicts_against_witnesses():
+    """Every ``fine @ T`` is a garbling of ``fine``.  On random pairs, every
+    ``True`` has no frontier violation above the 1e-9 slack, counted at the
+    kinks of both experiments, and every ``False`` is backed by a witness: a
+    prior and reservation value at which one buyer's surplus under
+    ``coarse`` exceeds that under ``fine`` by more than 1e-12, which no
+    garbling allows.
+
+    The witness is sought on the 41x41 (rho, c) grid of ``WITNESS_GRID`` and
+    at the reservation odds of the largest frontier violation, reached with
+    ``c = 1 - rho``.  The grid's reservation odds lie about 10% apart near 1,
+    so a narrow violation there can fall between its points (on independent
+    pairs, about one ``False`` in a thousand).  Pairs whose largest
+    violation lies within 1e-6 of the test's 1e-9 slack are skipped."""
+    rng = np.random.default_rng(1953)
+    for _ in range(1000):
+        m, r = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+        p = _random_masses(rng, m, 1e-12)
+        assert is_garbling_of(_experiment(_garble(rng, p, r)), _experiment(p))
+    rho, c = np.meshgrid(WITNESS_GRID, WITNESS_GRID, indexing="ij")
+    rho, c = rho.ravel(), c.ravel()
+    witnessed = 0
+    for _ in range(1000):
+        m, r = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+        p, q = _random_masses(rng, m, 1e-3), _random_masses(rng, r, 1e-3)
+        if rng.random() < 0.5:  # a garbling of fine, perturbed
+            eps = 10.0 ** rng.uniform(-6.0, 0.0)
+            q = (1.0 - eps) * _garble(rng, p, r) + eps * q
+        fine, coarse = _experiment(p), _experiment(q)
+        violation, lam = _largest_violation(coarse, fine)
+        if abs(violation - 1e-9) <= 1e-6:
+            continue
+        if is_garbling_of(coarse, fine):
+            assert violation < 1e-9, (coarse, fine, violation, lam)
+            continue
+        at_lam = 1.0 / (1.0 + math.sqrt(lam))
+        x, y = np.r_[rho, at_lam], np.r_[c, 1.0 - at_lam]
+        k = np.argmax(_surpluses(x, y, coarse) - _surpluses(x, y, fine))
+        gain = single_buyer_surplus(x[k], y[k], coarse) - single_buyer_surplus(x[k], y[k], fine)
+        assert gain > 1e-12, (coarse, fine, violation, lam)
+        witnessed += 1
+    assert witnessed >= 250
 
 
 # Masses at and near zero (subnormals included), ordinary ones and one.
