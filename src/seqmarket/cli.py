@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -84,7 +84,8 @@ class SpreadConfig:
 @dataclass(frozen=True)
 class DesignConfig:
     emit_grid: bool = _key("bool", False)
-    grid_points: int = _key("int", 201, lo=2)
+    # market.n's ceiling; near 2**60 points numpy refuses a grid with ValueError, not MemoryError.
+    grid_points: int = _key("int", 201, lo=2, hi=2**53)
 
 
 @dataclass(frozen=True)
@@ -230,24 +231,11 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(**sections)
 
 
-def _json(cls: type, obj) -> dict:
-    """``obj`` as JSON values keyed as in ``cls``; sections left unset are omitted."""
-    doc = {}
-    for key in fields(cls):
-        value, kind = getattr(obj, key.name), key.metadata["kind"]
-        if kind == "section" and value is None:
-            continue
-        if kind == "section":
-            value = _json(key.metadata["section"], value)
-        elif kind == "outcomes":
-            value = [_json(_OutcomeKeys, o) for o in value.outcomes]
-        doc[key.name] = list(value) if isinstance(value, tuple) else value
-    return doc
-
-
 def serialize_config(config: RunConfig) -> str:
     """Canonical JSON for a RunConfig; reparses to an equal config."""
-    return json.dumps({"schema_version": SCHEMA_VERSION, **_json(RunConfig, config)}, indent=2, sort_keys=True)
+    doc = {name: section for name, section in asdict(config).items() if section is not None}
+    doc["market"]["experiment"] = [{"p_L": o.p_L, "p_H": o.p_H} for o in config.market.experiment.outcomes]
+    return json.dumps({"schema_version": SCHEMA_VERSION, **doc}, indent=2, sort_keys=True)
 
 
 def _fmt(value) -> str:
@@ -309,7 +297,7 @@ def _cmd_sweep_n(config: RunConfig, out: Path) -> list[Path]:
 
 def _cmd_sweep_binary(config: RunConfig, out: Path) -> list[Path]:
     cfg, market = config.sweep_binary, config.market
-    curve = sweep_binary(market, cfg.dimension, list(cfg.grid), cfg.selector)
+    curve = sweep_binary(market, cfg.dimension, cfg.grid, cfg.selector)
     bench = benchmarks(market)
     rows = [
         {
@@ -522,6 +510,8 @@ def _parse_grid_flag(text: str) -> list[float]:
         raise ValidationError(f"--grid expects numbers, got {text!r}") from exc
     if count < 1:
         raise ValidationError(f"--grid count must be positive, got {count}")
+    if count > 2**53:
+        raise ValidationError(f"--grid count must be at most {2**53}, got {count}")
     return [float(x) for x in np.linspace(start, stop, count)]
 
 

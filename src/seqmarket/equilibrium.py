@@ -121,7 +121,7 @@ def _power(x, n):
 
 
 def geometric_sum(r, n):
-    """``sum_{k=0}^{n-1} r**k`` for scalars or arrays, stable near ``r == 1``.
+    """``sum_{k=0}^{n-1} r**k`` elementwise (a float if 0-d), stable near ``r == 1``.
 
     ``n`` is an int or an integer array broadcast against ``r``.  Within
     1e-10 of 1 the sum is ``-expm1(n * log1p(-a)) / a`` with ``a = 1 - r``
@@ -130,14 +130,14 @@ def geometric_sum(r, n):
     r_arr = np.asarray(r, dtype=float)
     gap = 1.0 - r_arr
     near_one = np.abs(gap) < 1e-10
-    if r_arr.ndim and not near_one.any():
-        return (1.0 - _power(r_arr, n)) / gap
-    safe = np.where(near_one, 0.5, r_arr)
-    closed = (1.0 - _power(safe, n)) / (1.0 - safe)
-    a = np.where(near_one & (gap != 0.0), gap, 0.5)
-    near = np.where(gap == 0.0, n, -np.expm1(n * np.log1p(-a)) / a)
-    out = np.where(near_one, near, closed)
-    return float(out) if np.isscalar(r) or out.ndim == 0 else out
+    if near_one.any():
+        safe = np.where(near_one, 0.5, r_arr)
+        a = np.where(near_one & (gap != 0.0), gap, 0.5)
+        near = np.where(gap == 0.0, n, -np.expm1(n * np.log1p(-a)) / a)
+        out = np.where(near_one, near, (1.0 - _power(safe, n)) / (1.0 - safe))
+    else:
+        out = (1.0 - _power(r_arr, n)) / gap
+    return float(out) if out.ndim == 0 else out
 
 
 def rejection_probs(spec: MarketSpec, strategy: Strategy) -> tuple[float, float]:

@@ -304,7 +304,7 @@ class SweepCurve:
 
 
 def sweep_binary(
-    spec: MarketSpec, dimension: str, grid: "list[float]", selector: str
+    spec: MarketSpec, dimension: str, grid: "np.ndarray | list[float] | tuple[float, ...]", selector: str
 ) -> SweepCurve:
     """Surplus of the selected equilibrium along one informativeness axis.
 
@@ -317,20 +317,16 @@ def sweep_binary(
     if dimension not in ("bad", "good"):
         raise ValueError(f"dimension must be 'bad' or 'good', got {dimension!r}")
     end = chain_index(selector)
-    labels = []
-    for value in grid:
-        v = float(value)
-        if dimension == "bad":
-            if not 0.0 <= v <= 0.5:
-                raise GridOutOfRange(f"bad-news label {v} outside [0, 0.5]")
-            labels.append((v, s_high))
-        else:
-            if not 0.5 <= v <= 1.0:
-                raise GridOutOfRange(f"good-news label {v} outside [0.5, 1]")
-            labels.append((s_low, v))
-    p_L, p_H, _ = binary_masses_from_labels([sl for sl, _ in labels], [sh for _, sh in labels])
+    values = np.asarray(grid, dtype=float)
+    news, lo, hi = ("bad-news", 0, 0.5) if dimension == "bad" else ("good-news", 0.5, 1)
+    outside = ~((values >= lo) & (values <= hi))
+    if outside.any():
+        raise GridOutOfRange(f"{news} label {float(values[outside.argmax()])} outside [{lo}, {hi}]")
+    s_L, s_H = np.broadcast_arrays(*((values, s_high) if dimension == "bad" else (s_low, values)))
+    p_L, p_H, _ = binary_masses_from_labels(s_L, s_H)
     chains = solve_chains(spec.rho, spec.c, p_L, p_H, spec.n)
-    points = [SweepPoint(sl, sh, chain[end], chain[end].surplus) for (sl, sh), chain in zip(labels, chains)]
+    rows = zip(s_L.tolist(), s_H.tolist(), chains)
+    points = [SweepPoint(sl, sh, chain[end], chain[end].surplus) for sl, sh, chain in rows]
     return SweepCurve(dimension, selector, tuple(points))
 
 

@@ -391,6 +391,8 @@ INVALID_INPUTS = [
     ("design_unknown", "design", _doc(design={"x": 1}), [], "error: design: unknown key(s) ['x']"),
     ("emit_grid", "design", _doc(design={"emit_grid": 1}), [], "error: design.emit_grid: expected a boolean, got 1"),
     ("grid_points_one", "design", _doc(design={"grid_points": 1}), [], "error: design.grid_points: 1 below minimum 2"),
+    ("grid_points_above", "design", _doc(design={"grid_points": 2**53 + 1}), [],
+     "error: design.grid_points: 9007199254740993 above maximum 9007199254740992"),
     ("grid_points_string", "design", _doc(design={"grid_points": "x"}), [],
      "error: design.grid_points: expected an integer, got 'x'"),
     ("simulate_missing", "simulate", _doc(simulate={}), [], "error: simulate: missing key(s) ['seed', 'trials']"),
@@ -431,6 +433,8 @@ INVALID_INPUTS = [
      "error: --grid expects numbers, got 'a:b:c'"),
     ("flag_grid_count", "sweep-binary", _doc(sweep_binary=_SWEEP_BINARY), ["--grid", "0.5:1:0"],
      "error: --grid count must be positive, got 0"),
+    ("flag_grid_count_above", "sweep-binary", _doc(sweep_binary=_SWEEP_BINARY), ["--grid", f"0:0.5:{2**62}"],
+     "error: --grid count must be at most 9007199254740992, got 4611686018427387904"),
     ("flag_grid_nan", "sweep-binary", _doc(sweep_binary=_SWEEP_BINARY), ["--grid", "nan:1:3"],
      "error: --grid[0]: expected a finite number, got nan"),
     ("flag_selector", "spread", _doc(spread=_SPREAD), ["--selector", "x"],
@@ -466,13 +470,35 @@ def test_market_size_bound_is_inclusive():
     assert cli.parse_config(json.dumps(_doc({"n": 2**53}))).market.n == 2**53
 
 
-def test_readme_config_example_parses_and_round_trips():
-    """The schema example in the README is a valid config that names every
-    section and key, and its canonical form reparses to the same config."""
+@pytest.mark.parametrize(
+    "command, doc, flags",
+    [
+        ("design", _doc(design={"emit_grid": True, "grid_points": 2**53}), []),
+        ("sweep-binary", _doc(sweep_binary=_SWEEP_BINARY), ["--grid", f"0:0.5:{2**53}"]),
+    ],
+    ids=["design_grid_points", "grid_flag"],
+)
+def test_largest_grid_count_is_exit_one(tmp_path, capsys, command, doc, flags):
+    """A grid of 2**53 points is a valid config that no machine can
+    allocate; numpy's allocation fails at once, without touching memory."""
+    code = cli.main([command, "--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path)] + flags)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("resource failure:") and len(err.splitlines()) == 1
+
+
+def _readme_example() -> str:
+    """The JSON config example under the README's "Config schema" heading."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     schema = readme[readme.index("### Config schema") :]
     start = schema.index("```json") + len("```json")
-    example = schema[start : schema.index("```", start)]
+    return schema[start : schema.index("```", start)]
+
+
+def test_readme_config_example_parses_and_round_trips():
+    """The schema example in the README is a valid config that names every
+    section and key, and its canonical form reparses to the same config."""
+    example = _readme_example()
     config = cli.parse_config(example)
     canonical = cli.serialize_config(config)
     assert cli.parse_config(canonical) == config
@@ -481,3 +507,173 @@ def test_readme_config_example_parses_and_round_trips():
     for name, section in doc.items():
         if isinstance(section, dict):
             assert set(section) == set(canonical_doc[name]), name
+
+
+_README_CANONICAL = """\
+{
+  "design": {
+    "emit_grid": true,
+    "grid_points": 401
+  },
+  "market": {
+    "c": 0.2,
+    "experiment": [
+      {
+        "p_H": 0.2,
+        "p_L": 0.8
+      },
+      {
+        "p_H": 0.8,
+        "p_L": 0.2
+      }
+    ],
+    "n": 2,
+    "rho": 0.5
+  },
+  "schema_version": 1,
+  "simulate": {
+    "focal_buyer": 0,
+    "seed": 7,
+    "strategy": "most",
+    "trials": 1000000
+  },
+  "spread": {
+    "index": 1,
+    "lr_high": [
+      9.0,
+      1.0
+    ],
+    "lr_low": [
+      0.25,
+      1.0
+    ],
+    "selector": "most"
+  },
+  "sweep_binary": {
+    "dimension": "bad",
+    "grid": [
+      0.5,
+      0.4,
+      0.3
+    ],
+    "selector": "most"
+  },
+  "sweep_n": {
+    "n_max": 50
+  }
+}"""
+
+# Every section; outcomes given out of likelihood-ratio order; a null
+# focal_buyer, a strategy array, an integer label and a [num, den] odds pair.
+_EVERY_SECTION_DOC = _doc(
+    {"rho": 0.3, "c": 0.45, "n": 7,
+     "experiment": [{"p_L": 0.2, "p_H": 0.5}, {"p_L": 0.5, "p_H": 0.2}, {"p_L": 0.3, "p_H": 0.3}]},
+    sweep_n={"n_max": 12},
+    sweep_binary={"dimension": "good", "grid": [0.6, 0.75, 1], "selector": "least"},
+    spread={"index": 0, "lr_low": [1, 3], "lr_high": 0.5},
+    design={"grid_points": 5},
+    simulate={"trials": 100, "seed": 3, "focal_buyer": None, "strategy": [0, 0.5, 1]},
+)
+
+_EVERY_SECTION_CANONICAL = """\
+{
+  "design": {
+    "emit_grid": false,
+    "grid_points": 5
+  },
+  "market": {
+    "c": 0.45,
+    "experiment": [
+      {
+        "p_H": 0.2,
+        "p_L": 0.5
+      },
+      {
+        "p_H": 0.3,
+        "p_L": 0.3
+      },
+      {
+        "p_H": 0.5,
+        "p_L": 0.2
+      }
+    ],
+    "n": 7,
+    "rho": 0.3
+  },
+  "schema_version": 1,
+  "simulate": {
+    "focal_buyer": null,
+    "seed": 3,
+    "strategy": [
+      0.0,
+      0.5,
+      1.0
+    ],
+    "trials": 100
+  },
+  "spread": {
+    "index": 0,
+    "lr_high": [
+      0.5,
+      1.0
+    ],
+    "lr_low": [
+      1.0,
+      3.0
+    ],
+    "selector": "most"
+  },
+  "sweep_binary": {
+    "dimension": "good",
+    "grid": [
+      0.6,
+      0.75,
+      1.0
+    ],
+    "selector": "least"
+  },
+  "sweep_n": {
+    "n_max": 12
+  }
+}"""
+
+_MARKET_ONLY_CANONICAL = """\
+{
+  "design": {
+    "emit_grid": false,
+    "grid_points": 201
+  },
+  "market": {
+    "c": 0.2,
+    "experiment": [
+      {
+        "p_H": 0.2,
+        "p_L": 0.8
+      },
+      {
+        "p_H": 0.8,
+        "p_L": 0.2
+      }
+    ],
+    "n": 2,
+    "rho": 0.5
+  },
+  "schema_version": 1
+}"""
+
+
+@pytest.mark.parametrize(
+    "text, canonical",
+    [
+        (_readme_example(), _README_CANONICAL),
+        (json.dumps(_EVERY_SECTION_DOC), _EVERY_SECTION_CANONICAL),
+        (json.dumps(DEMO_DOC), _MARKET_ONLY_CANONICAL),
+    ],
+    ids=["readme", "every_section", "market_only"],
+)
+def test_serialize_config_text_is_pinned(text, canonical):
+    """The canonical config text, byte for byte: keys sorted, two-space
+    indent, the built experiment's outcomes in likelihood-ratio order as
+    ``{p_L, p_H}``, tuples as arrays, unset sections left out and the
+    design section always present."""
+    assert cli.serialize_config(cli.parse_config(text)) == canonical

@@ -71,6 +71,30 @@ class TestGeometricSum:
         assert geometric_sum(1.0, 2**53) == 2.0**53
         assert geometric_sum(np.array([1.0, 0.5]), np.array([2**31, 2])).tolist() == [2.0**31, 1.5]
 
+    @given(
+        r=st.one_of(
+            st.floats(0.0, 1e-6),  # near 0
+            st.floats(0.0, 1.0),
+            st.floats(1.0 - 1e-8, 1.0 - 1e-10),  # near 1, outside the 1e-10 band
+            st.floats(1.0 - 1e-10, 1.0),  # near 1, inside it
+            st.just(1.0),
+        ),
+        n=st.integers(1, 2**53),
+        near=st.floats(1.0 - 9e-11, 1.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_float_in_float_out_equal_to_the_array_entry(self, r, n, near):
+        """A float ``r`` gives a float, ``==`` its entry in an array call that
+        also holds a near-one entry; a float ``r`` with an array ``n`` gives
+        the elementwise array, and so does ``interim_from_rejections``."""
+        got = geometric_sum(r, n)
+        assert type(got) is float
+        assert got == geometric_sum(np.array([r, near]), n)[0]
+        ns = np.array([n, 1, 2])
+        assert geometric_sum(r, ns).tolist() == [geometric_sum(r, int(k)) for k in ns]
+        interim = interim_from_rejections(0.3, r, 0.6, ns)
+        assert interim.tolist() == [interim_from_rejections(0.3, r, 0.6, int(k)) for k in ns]
+
 
 class TestInterimBelief:
     def test_accept_all_keeps_prior(self):

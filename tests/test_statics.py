@@ -401,6 +401,13 @@ class TestSweepBinary:
         with pytest.raises(GridOutOfRange):
             sweep_binary(demo_market(), "good", [0.3], "most")
 
+    def test_the_first_label_out_of_range_is_named(self):
+        nan = float("nan")
+        with pytest.raises(GridOutOfRange, match=r"^bad-news label 0\.7 outside \[0, 0\.5\]$"):
+            sweep_binary(demo_market(), "bad", np.array([0.2, 0.7, -0.1, nan]), "most")
+        with pytest.raises(GridOutOfRange, match=r"^good-news label nan outside \[0\.5, 1\]$"):
+            sweep_binary(demo_market(), "good", (0.6, nan, 0.3), "most")
+
     def test_labels_are_checked_before_any_point_is_solved(self, monkeypatch):
         def unreachable(*args):
             raise AssertionError("built or solved a point before the grid was checked")
