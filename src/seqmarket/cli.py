@@ -90,7 +90,7 @@ class DesignConfig:
 
 @dataclass(frozen=True)
 class SimulateConfig:
-    trials: int = _key("int", lo=1)
+    trials: int = _key("int", lo=1, hi=2**53)
     # montecarlo keys its streams by 64 bits of the seed.
     seed: int = _key("int", lo=0, hi=2**64 - 1)
     focal_buyer: int | None = _key("int", None, lo=0)
@@ -250,18 +250,24 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(out: Path, name: str, rows: "list[dict]") -> list[Path]:
-    """Writes ``out/name.csv``, headed by the keys of the first of ``rows``
-    (each a dict from column name to cell); returns its path in a list."""
-    path = out / f"{name}.csv"
-    lines = [",".join(rows[0])]
-    # Most cells are floats: format them here, ahead of _fmt's type tests.
-    lines.extend(
-        ",".join(f"{cell:.12g}" if type(cell) is float else _fmt(cell) for cell in row.values())
-        for row in rows
-    )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return [path]
+def _write_csvs(out: Path, tables: "dict[str, list[dict]]") -> list[Path]:
+    """Creates ``out`` and writes each table (name -> rows, each a dict from
+    column name to cell) to ``out/name.csv``, headed by its first row's keys;
+    returns the paths.  Nothing else writes under ``out``."""
+    paths = [out / f"{name}.csv" for name in tables]
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for path, rows in zip(paths, tables.values()):
+            lines = [",".join(rows[0])]
+            # Most cells are floats: format them here, ahead of _fmt's type tests.
+            lines.extend(
+                ",".join(f"{cell:.12g}" if type(cell) is float else _fmt(cell) for cell in row.values())
+                for row in rows
+            )
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot write output: {exc}") from exc
+    return paths
 
 
 def _trade_probs(spec: MarketSpec, eq: Equilibrium) -> tuple[float, float]:
@@ -269,14 +275,14 @@ def _trade_probs(spec: MarketSpec, eq: Equilibrium) -> tuple[float, float]:
     return 1.0 - eq.r_H**spec.n, 1.0 - eq.r_L**spec.n
 
 
-def _cmd_solve(config: RunConfig, out: Path) -> list[Path]:
+def _cmd_solve(config: RunConfig) -> dict:
     # Each column is the Equilibrium attribute of its name.
     names = ("cutoff_index", "mixing_prob", "interim", "r_L", "r_H", "surplus")
     rows = [{name: getattr(eq, name) for name in names} for eq in enumerate_equilibria(config.market)]
-    return _write_csv(out, "solve", rows)
+    return {"solve": rows}
 
 
-def _cmd_sweep_n(config: RunConfig, out: Path) -> list[Path]:
+def _cmd_sweep_n(config: RunConfig) -> dict:
     result = surplus_vs_n(config.market, config.sweep_n.n_max)
     bench = benchmarks(config.market)
     rows = [
@@ -292,10 +298,10 @@ def _cmd_sweep_n(config: RunConfig, out: Path) -> list[Path]:
         }
         for p in result.records
     ]
-    return _write_csv(out, "sweep_n", rows)
+    return {"sweep_n": rows}
 
 
-def _cmd_sweep_binary(config: RunConfig, out: Path) -> list[Path]:
+def _cmd_sweep_binary(config: RunConfig) -> dict:
     cfg, market = config.sweep_binary, config.market
     curve = sweep_binary(market, cfg.dimension, cfg.grid, cfg.selector)
     bench = benchmarks(market)
@@ -316,10 +322,10 @@ def _cmd_sweep_binary(config: RunConfig, out: Path) -> list[Path]:
         }
         for p in curve.points
     ]
-    return _write_csv(out, "sweep_binary", rows)
+    return {"sweep_binary": rows}
 
 
-def _cmd_spread(config: RunConfig, out: Path) -> list[Path]:
+def _cmd_spread(config: RunConfig) -> dict:
     cfg = config.spread
     params = LocalSpreadParams(index=cfg.index, lr_low=OddsRatio(*cfg.lr_low), lr_high=OddsRatio(*cfg.lr_high))
     result = spread_surplus_delta(config.market, params, cfg.selector)
@@ -334,7 +340,7 @@ def _cmd_spread(config: RunConfig, out: Path) -> list[Path]:
         "surplus_after": result.surplus_after,
         "delta": result.delta,
     }
-    return _write_csv(out, "spread", [row])
+    return {"spread": [row]}
 
 
 def _design_row(report: design_mod.GarblingReport) -> dict:
@@ -349,16 +355,15 @@ def _design_row(report: design_mod.GarblingReport) -> dict:
     }
 
 
-def _cmd_design(config: RunConfig, out: Path) -> list[Path]:
-    report = design_mod.optimal_garbling(config.market)
-    paths = _write_csv(out, "design", [_design_row(report)])
+def _cmd_design(config: RunConfig) -> dict:
+    tables = {"design": [_design_row(design_mod.optimal_garbling(config.market))]}
     if config.design.emit_grid:
         reports = design_mod.garbling_grid(config.market, config.design.grid_points)
-        paths += _write_csv(out, "design_grid", [_design_row(r) for r in reports])
-    return paths
+        tables["design_grid"] = [_design_row(r) for r in reports]
+    return tables
 
 
-def _cmd_simulate(config: RunConfig, out: Path) -> list[Path]:
+def _cmd_simulate(config: RunConfig) -> dict:
     cfg = config.simulate
     if isinstance(cfg.strategy, str):
         strategy = select_equilibrium(config.market, cfg.strategy).strategy
@@ -369,11 +374,10 @@ def _cmd_simulate(config: RunConfig, out: Path) -> list[Path]:
         strategy,
         montecarlo.SimConfig(trials=cfg.trials, seed=cfg.seed, focal_buyer=cfg.focal_buyer),
     )
-    estimates = {f.name: getattr(est, f.name) for f in fields(est) if f.name != "trials"}
-    return _write_csv(out, "simulate", [{"trials": cfg.trials, "seed": cfg.seed, **estimates}])
+    return {"simulate": [{"trials": est.trials, "seed": cfg.seed, **asdict(est)}]}
 
 
-def _repro_table1(out: Path) -> list[Path]:
+def _repro_table1() -> dict:
     spec = demo_market()
     chain = enumerate_equilibria(spec)
     low, high = spec.experiment.outcomes
@@ -388,10 +392,10 @@ def _repro_table1(out: Path) -> list[Path]:
         }
         for name, eq in (("least_selective", chain[-1]), ("most_selective", chain[0]))
     ]
-    return _write_csv(out, "table1", rows)
+    return {"table1": rows}
 
 
-def _repro_table2(out: Path) -> list[Path]:
+def _repro_table2() -> dict:
     spec = demo_market()
     chain = enumerate_equilibria(spec)
     most, least = chain[0], chain[-1]
@@ -405,10 +409,10 @@ def _repro_table2(out: Path) -> list[Path]:
         "most_selective": (*_trade_probs(spec, most), most.surplus),
         "full_info": (1.0, 0.0, bench.full_info),
     }
-    return _write_csv(out, "table2", [dict(zip(columns, cells)) for cells in zip(*columns.values())])
+    return {"table2": [dict(zip(columns, cells)) for cells in zip(*columns.values())]}
 
 
-def _repro_section8(out: Path) -> list[Path]:
+def _repro_section8() -> dict:
     specs = [tight_market(n) for n in range(1, 51)]
     rows = []
     for spec, chain in zip(specs, enumerate_chains(specs)):
@@ -438,10 +442,10 @@ def _repro_section8(out: Path) -> list[Path]:
                 "prob_H_given_no_trade": p_h_no,
             }
         )
-    return _write_csv(out, "section8", rows)
+    return {"section8": rows}
 
 
-def _repro_modified_example(out: Path) -> list[Path]:
+def _repro_modified_example() -> dict:
     chains = enumerate_chains([revealing_market(n) for n in range(1, 51)])
     rows = [
         {
@@ -452,7 +456,7 @@ def _repro_modified_example(out: Path) -> list[Path]:
         }
         for n, chain in enumerate(chains, 1)
     ]
-    return _write_csv(out, "modified_example", rows)
+    return {"modified_example": rows}
 
 
 REPRO_FIXTURES = {
@@ -532,19 +536,17 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
 
 def run(command: str, config: RunConfig, out: Path) -> list[Path]:
     """Execute one command against a parsed config; returns written paths."""
-    out.mkdir(parents=True, exist_ok=True)
     section, handler = COMMANDS[command]
     if section is not None and getattr(config, section) is None:
         raise ValidationError(f"config has no {section} section")
-    return handler(config, out)
+    return _write_csvs(out, handler(config))
 
 
 def main(argv: "list[str] | None" = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "repro":
-            args.out.mkdir(parents=True, exist_ok=True)
-            paths = REPRO_FIXTURES[args.fixture](args.out)
+            paths = _write_csvs(args.out, REPRO_FIXTURES[args.fixture]())
         else:
             try:
                 text = args.config.read_text(encoding="utf-8")

@@ -336,16 +336,10 @@ def optimal_garbling(spec: MarketSpec) -> GarblingReport:
     report = report_at(spec, d_star)
     if report.is_ic:
         return report
-    below: float | None = None
-    above: float | None = None
-    for lo, hi in ic_intervals(spec):
-        if lo <= d_star:
-            cand = min(hi, d_star)
-            below = cand if below is None else max(below, cand)
-        if hi >= d_star:
-            cand = max(lo, d_star)
-            above = cand if above is None else min(above, cand)
-    candidates = [d for d in (below, above) if d is not None]
+    intervals = ic_intervals(spec)
+    below = [min(hi, d_star) for lo, hi in intervals if lo <= d_star]
+    above = [max(lo, d_star) for lo, hi in intervals if hi >= d_star]
+    candidates = [pick(ds) for pick, ds in ((max, below), (min, above)) if ds]
     if not candidates:
         raise RuntimeError("no incentive-compatible garbling found; solver defect")
     reports = _reports(spec, grid_diagnostics(spec, candidates))

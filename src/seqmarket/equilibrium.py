@@ -264,10 +264,6 @@ def _bisect(holds, lo, hi, steps: int, width: float = 0.0) -> tuple[list[float],
     return lo, hi
 
 
-def _acceptance_gaps(spec: MarketSpec, interim: float) -> np.ndarray:
-    return _gaps(spec.c, spec.experiment.p_L_array(), spec.experiment.p_H_array(), interim)
-
-
 def _best_response_rows(accept: np.ndarray, gaps: np.ndarray) -> np.ndarray:
     """Per row, whether every acceptance probability is optimal for its gap.
 
@@ -285,7 +281,8 @@ def _best_response_rows(accept: np.ndarray, gaps: np.ndarray) -> np.ndarray:
 def is_optimal_against(spec: MarketSpec, strategy: Strategy, interim: float) -> bool:
     """Whether ``strategy`` is a best response to ``interim`` (indifference tolerated)."""
     _check_length(spec, strategy)
-    return bool(_best_response_rows(strategy.as_array(), _acceptance_gaps(spec, interim)))
+    gaps = _gaps(spec.c, spec.experiment.p_L_array(), spec.experiment.p_H_array(), interim)
+    return bool(_best_response_rows(strategy.as_array(), gaps))
 
 
 # Doubles per temporary array of the mixing-gap scan: a block of pairs times
@@ -454,23 +451,21 @@ def _solve_chains(rho: float, c: float, p_L: np.ndarray, p_H: np.ndarray, n: np.
     # rule (|gap| within MIXING_ROOT_TOL, or the cell narrower than 1e-16).
     alpha = alphas[cell]
     bracket = np.flatnonzero(change)
-    lo, hi, g_lo = alphas[cell[bracket]], alphas[cell[bracket] + 1], g_lo[bracket]
-    b_pair = pair[bracket]
+    lo, hi, neg = alphas[cell[bracket]], alphas[cell[bracket] + 1], g_lo[bracket] < 0.0
     active = np.arange(bracket.size)
     for _ in range(200):
         if not active.size:
             break
-        a, p = active, b_pair[active]
+        a, p = active, pair[bracket[active]]
         mid = 0.5 * (lo[a] + hi[a])
         g_mid = _mixing_points(
             rho, c, tail_L[p], tail_H[p], pair_L[p], pair_H[p], pair_n[p], mid
         )[2]
         done = (np.abs(g_mid) <= MIXING_ROOT_TOL) | (hi[a] - lo[a] < 1e-16)
         alpha[bracket[a[done]]] = mid[done]
-        same = (g_lo[a] < 0.0) == (g_mid < 0.0)
-        up, down = ~done & same, ~done & ~same
-        lo[a[up]], g_lo[a[up]] = mid[up], g_mid[up]
-        hi[a[down]] = mid[down]
+        # The gap at lo keeps its sign as lo moves, so only the sign is kept.
+        same = neg[a] == (g_mid < 0.0)
+        lo[a[same]], hi[a[~same]] = mid[same], mid[~same]
         active = a[~done]
     alpha[bracket[active]] = 0.5 * (lo[active] + hi[active])
     inside = (alpha > 0.0) & (alpha < 1.0)
@@ -497,21 +492,16 @@ def _solve_chains(rho: float, c: float, p_L: np.ndarray, p_H: np.ndarray, n: np.
     r_H = np.minimum(1.0, np.maximum(0.0, 1.0 - dot_H))
     psi = interim_from_rejections(rho, r_L, r_H, n[row])
     ok = _best_response_rows(accept, _gaps(c, P_L, P_H, psi[:, None]))
-    row, cut, mix, accept, r_L, r_H, psi = (
-        a[ok] for a in (row, cut, mix, accept, r_L, r_H, psi)
-    )
 
     # Selectivity key: total acceptance, summed left to right.
     size = accept[:, 0].copy()
     for i in range(1, m):
         size = size + accept[:, i]
-    keep = _pool_near_duplicates(row, accept, size, m)
-    row, cut, mix, accept, r_L, r_H, psi, size = (
-        a[keep] for a in (row, cut, mix, accept, r_L, r_H, psi, size)
-    )
-    order = np.lexsort((size, row))  # stable: ties keep the found order
+    kept = np.flatnonzero(ok)
+    kept = kept[_pool_near_duplicates(row[kept], accept[kept], size[kept], m)]
+    kept = kept[np.lexsort((size[kept], row[kept]))]  # stable: ties keep the found order
     row, cut, mix, accept, r_L, r_H, psi = (
-        a[order] for a in (row, cut, mix, accept, r_L, r_H, psi)
+        a[kept] for a in (row, cut, mix, accept, r_L, r_H, psi)
     )
     same_row = row[1:] == row[:-1]
     broken = same_row & ~(accept[:-1] <= accept[1:] + _CHAIN_TOL).all(axis=1)

@@ -228,6 +228,25 @@ class TestExitCodes:
         assert err.startswith("resource failure:") and len(err.splitlines()) == 1
         assert not (tmp_path / "simulate.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command, csv_is_directory",
+        [(["solve"], False), (["solve"], True), (["repro", "table1"], False)],
+        ids=["solve_out_is_file", "solve_csv_is_directory", "repro_out_is_file"],
+    )
+    def test_unwritable_out_is_exit_two(self, tmp_path, capsys, command, csv_is_directory):
+        """An --out that is a file, or that holds a directory named like the
+        CSV, ends in exit 2 and one error line, not a traceback."""
+        out = tmp_path / "out"
+        if csv_is_directory:
+            (out / "solve.csv").mkdir(parents=True)
+        else:
+            out.write_text("", encoding="utf-8")
+        config = [] if command[0] == "repro" else ["--config", str(write_config(tmp_path, DEMO_DOC))]
+        code = cli.main(command + config + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: cannot write output:") and len(err.splitlines()) == 1
+
     def test_section8_without_a_unique_equilibrium_is_exit_one(self, tmp_path, monkeypatch, capsys):
         real = cli.enumerate_chains
 
@@ -398,6 +417,8 @@ INVALID_INPUTS = [
     ("simulate_missing", "simulate", _doc(simulate={}), [], "error: simulate: missing key(s) ['seed', 'trials']"),
     ("trials_zero", "simulate", _doc(simulate={**_SIMULATE, "trials": 0}), [],
      "error: simulate.trials: 0 below minimum 1"),
+    ("trials_above", "simulate", _doc(simulate={**_SIMULATE, "trials": 2**53 + 1}), [],
+     "error: simulate.trials: 9007199254740993 above maximum 9007199254740992"),
     ("trials_float", "simulate", _doc(simulate={**_SIMULATE, "trials": 1.5}), [],
      "error: simulate.trials: expected an integer, got 1.5"),
     ("seed_negative", "simulate", _doc(simulate={**_SIMULATE, "seed": -1}), [],
@@ -425,6 +446,8 @@ INVALID_INPUTS = [
     ("flag_seed_negative", "simulate", _doc(simulate=_SIMULATE), ["--seed", "-3"], "error: --seed: -3 below minimum 0"),
     ("flag_seed_2_64", "simulate", _doc(simulate=_SIMULATE), ["--seed", str(2**64)],
      "error: --seed: 18446744073709551616 above maximum 18446744073709551615"),
+    ("flag_trials_above", "simulate", _doc(simulate=_SIMULATE), ["--trials", str(2**53 + 1)],
+     "error: --trials: 9007199254740993 above maximum 9007199254740992"),
     ("flag_trials_string", "simulate", _doc(simulate=_SIMULATE), ["--trials", "x"],
      "seqmarket simulate: error: argument --trials: invalid int value: 'x'"),
     ("flag_grid_parts", "sweep-binary", _doc(sweep_binary=_SWEEP_BINARY), ["--grid", "1:2"],
@@ -485,6 +508,7 @@ def test_largest_grid_count_is_exit_one(tmp_path, capsys, command, doc, flags):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("resource failure:") and len(err.splitlines()) == 1
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def _readme_example() -> str:
