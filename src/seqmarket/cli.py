@@ -9,8 +9,11 @@ config, so repeated runs produce byte-identical CSVs.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import json
 import math
+import os
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -63,7 +66,9 @@ class _MarketKeys:
 
 @dataclass(frozen=True)
 class SweepNConfig:
-    n_max: int = _key("int", lo=1)
+    # A sweep holds every size's chain at once, about 5 KB per size for five
+    # outcomes (more for more), so 10**5 sizes stay near half a gigabyte.
+    n_max: int = _key("int", lo=1, hi=10**5)
 
 
 @dataclass(frozen=True)
@@ -253,10 +258,19 @@ def _fmt(value) -> str:
 def _write_csvs(out: Path, tables: "dict[str, list[dict]]") -> list[Path]:
     """Creates ``out`` and writes each table (name -> rows, each a dict from
     column name to cell) to ``out/name.csv``, headed by its first row's keys;
-    returns the paths.  Nothing else writes under ``out``."""
+    returns the paths.  Nothing else writes under ``out``.
+
+    Each table goes to a temporary file beside its target, and the
+    temporaries are renamed only once every one is written, so a write that
+    fails leaves no CSV behind.  A target that is a directory, which the
+    rename would fail on, is refused before anything is written."""
     paths = [out / f"{name}.csv" for name in tables]
+    temps: list[Path] = []
     try:
         out.mkdir(parents=True, exist_ok=True)
+        for path in paths:
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         for path, rows in zip(paths, tables.values()):
             lines = [",".join(rows[0])]
             # Most cells are floats: format them here, ahead of _fmt's type tests.
@@ -264,8 +278,14 @@ def _write_csvs(out: Path, tables: "dict[str, list[dict]]") -> list[Path]:
                 ",".join(f"{cell:.12g}" if type(cell) is float else _fmt(cell) for cell in row.values())
                 for row in rows
             )
-            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            temps.append(path.with_name(f".{path.name}.{os.getpid()}.tmp"))
+            temps[-1].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for temp, path in zip(temps, paths):
+            temp.replace(path)
     except OSError as exc:
+        for temp in temps:
+            with contextlib.suppress(OSError):
+                temp.unlink(missing_ok=True)
         raise ValidationError(f"cannot write output: {exc}") from exc
     return paths
 

@@ -286,15 +286,14 @@ def is_optimal_against(spec: MarketSpec, strategy: Strategy, interim: float) -> 
 
 
 # Doubles per temporary array of the mixing-gap scan: a block of pairs times
-# the coarse points (496 rows of 33), or the cells one refinement step makes
-# (twice the cells it takes, so it takes at most a quarter of this).  It
-# bounds the kernel's scratch memory whatever the batch size, and keeps each
-# temporary under glibc's default 128 KiB mmap threshold, so temporaries are
-# reused from the heap instead of being mapped, page-faulted and unmapped on
-# every operation (about 3x slower).
+# the first pass's points (15 rows of 1026 at spacing 1, 496 of 33 at 32), or
+# the cells one refinement step makes (twice the cells it takes, so it takes
+# at most a quarter of this).  It bounds the kernel's scratch memory whatever
+# the batch size and spacing, and keeps each temporary under glibc's default
+# 128 KiB mmap threshold, so temporaries are reused from the heap instead of
+# being mapped, page-faulted and unmapped on every operation (about 3x slower).
 _GRID_BLOCK = 1 << 14
 _REFINE_STEP = _GRID_BLOCK // 4
-_COARSE_CELL = 32  # grid cells between the scan's first evaluated points
 _DEDUP_TOL = 1e-9
 _CHAIN_TOL = 1e-12
 # The discard bound of _root_free: its relative margin, and the limits below
@@ -356,7 +355,21 @@ def _root_free(c: float, p_L, p_H, lo, hi):
     return (above | below) & normal & ~near_one & ~thin
 
 
-def _scan_hits(rho: float, c: float, tail_L, tail_H, p_L, p_H, n):
+def _scan_spacing(pairs: int) -> int:
+    """Grid cells between the first evaluated points of a scan over ``pairs``
+    (market, cutoff) pairs: the largest power of two at most ``pairs / 2``,
+    from 1 up to the whole grid.
+
+    A point costs two geometric sums per pair, and a halving level a fixed
+    overhead of numpy calls whatever its size.  A few pairs are cheapest
+    evaluated in full, with nothing left to halve; many are cheapest opened
+    wide, where a cell that a few points prove root-free drops the most grid
+    points at once.
+    """
+    return min(DEFAULT_MIXING_GRID, 1 << max(0, (pairs // 2).bit_length() - 1))
+
+
+def _scan_hits(rho: float, c: float, tail_L, tail_H, p_L, p_H, n, spacing: int):
     """The grid cells of each (market, cutoff) pair's mixing gap that hold a
     root, as ``(pair, cell, change, g_lo)`` in (pair, cell) order: a cell
     holds a root when its ends change sign (``change``) or its left point is
@@ -364,16 +377,16 @@ def _scan_hits(rho: float, c: float, tail_L, tail_H, p_L, p_H, n):
 
     The list is that of a scan of every point of the
     ``DEFAULT_MIXING_GRID``-cell grid, but most cells are discarded unseen:
-    the scan evaluates every ``_COARSE_CELL``-th grid point, then halves each
-    cell that ``_root_free`` cannot discard, at grid points, until single
-    grid cells remain, and applies the hit rule to those.  Pairs go in
-    blocks, and each block's cells are refined (last in, first out) before
-    the next block starts.
+    the scan evaluates every ``spacing``-th grid point (a power of two; see
+    ``_scan_spacing``), then halves each cell that ``_root_free`` cannot
+    discard, at grid points, until single grid cells remain, and applies the
+    hit rule to those.  Pairs go in blocks, and each block's cells are
+    refined (last in, first out) before the next block starts.
     """
     grid = np.linspace(0.0, 1.0, DEFAULT_MIXING_GRID + 1)
-    coarse = np.r_[np.arange(0, DEFAULT_MIXING_GRID, _COARSE_CELL), DEFAULT_MIXING_GRID]
+    coarse = np.r_[np.arange(0, DEFAULT_MIXING_GRID, spacing), DEFAULT_MIXING_GRID]
     found = [(np.empty(0, int), np.empty(0, int), np.empty(0, bool), np.empty(0))]
-    step = max(1, _GRID_BLOCK // coarse.size)
+    step = _GRID_BLOCK // coarse.size
     for start in range(0, tail_L.size, step):
         blk = slice(start, start + step)
         col = lambda a: a[blk, None]
@@ -424,12 +437,12 @@ def _solve_chains(rho: float, c: float, p_L: np.ndarray, p_H: np.ndarray, n: np.
     indifference gap on a uniform grid of ``DEFAULT_MIXING_GRID`` cells, in
     grid order.  A grid point where the gap is exactly zero is a root; a cell
     whose end gaps have a negative product is bisected to
-    ``MIXING_ROOT_TOL``.  ``_scan_hits`` finds those cells without evaluating
-    most grid points: it discards a run of cells where a bound from the run's
-    end values proves that every grid point's gap has one strict sign, and
-    lists the same cells as a scan of every point.  All roots are kept
-    because the interim belief need not be monotone in the mixing
-    probability for general experiments.  A candidate counts when it is a
+    ``MIXING_ROOT_TOL``.  ``_scan_hits`` finds those cells, in a large batch
+    without evaluating most grid points: it discards a run of cells where a
+    bound from the run's end values proves that every grid point's gap has
+    one strict sign, and lists the same cells as a scan of every point.  All
+    roots are kept because the interim belief need not be monotone in the
+    mixing probability for general experiments.  A candidate counts when it is a
     best response to its consistent belief.  Candidates within
     ``_DEDUP_TOL`` pointwise of an earlier kept one are pooled, and the rest
     must form a selectivity chain.
@@ -445,7 +458,9 @@ def _solve_chains(rho: float, c: float, p_L: np.ndarray, p_H: np.ndarray, n: np.
     tail_L = np.stack([p_L[:, j + 1 :].sum(axis=1) for j in range(m)], axis=1).ravel()
     tail_H = np.stack([p_H[:, j + 1 :].sum(axis=1) for j in range(m)], axis=1).ravel()
     pair_L, pair_H, pair_n = p_L.ravel(), p_H.ravel(), np.repeat(n, m)
-    pair, cell, change, g_lo = _scan_hits(rho, c, tail_L, tail_H, pair_L, pair_H, pair_n)
+    pair, cell, change, g_lo = _scan_hits(
+        rho, c, tail_L, tail_H, pair_L, pair_H, pair_n, _scan_spacing(pair_n.size)
+    )
 
     # Refine every bracket at once: bisection with the one-bracket stopping
     # rule (|gap| within MIXING_ROOT_TOL, or the cell narrower than 1e-16).

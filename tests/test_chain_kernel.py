@@ -30,6 +30,7 @@ from seqmarket.equilibrium import (
     solve_chains,
     _root_free,
     _scan_hits,
+    _scan_spacing,
 )
 from seqmarket.errors import DegeneratePrior, NoEquilibriumFound
 from seqmarket.experiment import build_experiment
@@ -249,32 +250,44 @@ def scan_batches(draw):
     return _batch(rho, c, *pairs)
 
 
-def _assert_same_hits(rho, c, *pairs):
-    got = _scan_hits(rho, c, *pairs)
-    want = reference.full_scan_hits(rho, c, *pairs)
+# Every first-pass spacing the scan can take: the powers of two up to the grid.
+SPACINGS = [2**k for k in range(11)]
+
+
+def _assert_same_hits(batch, spacing):
+    got = _scan_hits(*batch, spacing)
+    want = reference.full_scan_hits(*batch)
     assert [a.tolist() for a in got] == [a.tolist() for a in want]
     return want
 
 
-@given(scan_batches())
-# Each example lists other hits than the full scan when the discard bound
-# loses, in turn, its margin, its 1 - psi limit and its underflow limit.
-@example(_batch(0.5, 1.0009775171065483e-15, (0.0, 0.0, 1.0, 1e-15, 2), (0.0, 0.0, 0.0, 0.0, 1)))
-@example(
+# Each pinned batch lists other hits than the full scan, at spacing 32, when
+# the discard bound loses, in turn, its margin, its 1 - psi limit and its
+# underflow limit.
+PINNED_BATCHES = [
+    _batch(0.5, 1.0009775171065483e-15, (0.0, 0.0, 1.0, 1e-15, 2), (0.0, 0.0, 0.0, 0.0, 1)),
     _batch(
         0.9999999999999585, 0.8163601231800399,
         (0.325308095680109, 0.36510223091108873, 0.06843808577128761, 1.2565096061564724e-14, 200),
-    )
-)
-@example(
+    ),
     _batch(
         0.31582937101109626, 0.07142857142857142,
         (0.4066351196001362, 0.45637778863886086, 9e-323, 2.5e-323, 10),
-    )
-)
+    ),
+]
+
+
+def _pinned(test):
+    for batch in PINNED_BATCHES:
+        test = example(batch, 32)(example(batch, 256)(test))
+    return test
+
+
+@given(scan_batches(), st.sampled_from(SPACINGS))
+@_pinned
 @settings(max_examples=400, deadline=None)
-def test_scan_hits_match_the_full_scan(batch):
-    _assert_same_hits(*batch)
+def test_scan_hits_match_the_full_scan(batch, spacing):
+    _assert_same_hits(batch, spacing)
 
 
 # End values of a cell (numerator, denominator, gap, 1 - r_H, 1 - r_L) that
@@ -303,7 +316,7 @@ def test_root_free_guards(p_L, lo, hi, discarded):
 
 def test_scan_hits_at_exact_grid_zeros():
     """Seeded pairs whose gap is exactly 0 at an interior grid point, each
-    with a reservation value of its own."""
+    with a reservation value of its own, at every spacing."""
     rng = np.random.default_rng(9)
     zeros = 0
     for _ in range(60):
@@ -313,15 +326,43 @@ def test_scan_hits_at_exact_grid_zeros():
         c = _indifferent_cost(rho, pair, k)
         if c is None:
             continue
-        pair, cell, change, g_lo = _assert_same_hits(*_batch(rho, c, pair))
+        for spacing in SPACINGS:
+            _, cell, change, g_lo = _assert_same_hits(_batch(rho, c, pair), spacing)
         zeros += bool(((cell == k) & ~change & (g_lo == 0.0)).any())
     assert zeros >= 10
 
 
 def test_scan_hits_where_every_cell_is_a_zero():
     """At one buyer and on an uninformative outcome with ``rho == c == 0.5``
-    the gap is exactly 0 at every grid point: every interior cell is a hit."""
-    demo = _assert_same_hits(*_batch(0.5, 0.2, (0.2, 0.8, 0.8, 0.2, 1)))
-    flat = _assert_same_hits(*_batch(0.5, 0.5, (0.25, 0.25, 0.5, 0.5, 7)))
+    the gap is exactly 0 at every grid point: every interior cell is a hit,
+    at every spacing."""
+    for spacing in SPACINGS:
+        demo = _assert_same_hits(_batch(0.5, 0.2, (0.2, 0.8, 0.8, 0.2, 1)), spacing)
+        flat = _assert_same_hits(_batch(0.5, 0.5, (0.25, 0.25, 0.5, 0.5, 7)), spacing)
     for pair, cell, change, g_lo in (demo, flat):
         assert cell.tolist() == list(range(1, DEFAULT_MIXING_GRID)) and not change.any()
+
+
+def test_scan_spacing_grows_with_the_batch_and_is_capped():
+    """A lone binary market is scanned in full; the first pass widens as
+    pairs are added, and stops widening at the whole grid."""
+    spacings = [_scan_spacing(pairs) for pairs in range(1, 10**4)]
+    assert spacings[:3] == [1, 1, 1]
+    assert all(a <= b for a, b in zip(spacings, spacings[1:]))
+    assert set(spacings) == set(SPACINGS)
+
+
+@pytest.mark.parametrize("m", sorted(SWEEP_SEEDS))
+def test_scan_hits_on_a_whole_size_sweep(m):
+    """The pairs of a seeded market's n = 1..200 sweep (400 or more), at the
+    spacing the kernel picks for them: the rule's wide end on real markets."""
+    rho, c, exp = _seeded_market(SWEEP_SEEDS[m], m)
+    p_L, p_H = exp.p_L_array(), exp.p_H_array()
+    tails = lambda p: [p[j + 1 :].sum() for j in range(m)]
+    sizes = np.arange(1, 201)
+    batch = (
+        rho, c, np.tile(tails(p_L), sizes.size), np.tile(tails(p_H), sizes.size),
+        np.tile(p_L, sizes.size), np.tile(p_H, sizes.size), np.repeat(sizes, m),
+    )
+    assert _scan_spacing(m * sizes.size) >= 128
+    _assert_same_hits(batch, _scan_spacing(m * sizes.size))

@@ -247,6 +247,18 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: cannot write output:") and len(err.splitlines()) == 1
 
+    def test_unwritable_second_table_writes_neither(self, tmp_path, capsys):
+        """``design`` with its grid writes two tables; when the second cannot
+        be written, the first is not left behind, and neither is a temporary."""
+        out = tmp_path / "out"
+        (out / "design_grid.csv").mkdir(parents=True)
+        doc = _doc(design={"emit_grid": True, "grid_points": 5})
+        code = cli.main(["design", "--config", str(write_config(tmp_path, doc)), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: cannot write output:") and len(err.splitlines()) == 1
+        assert [path.name for path in out.iterdir()] == ["design_grid.csv"]
+
     def test_section8_without_a_unique_equilibrium_is_exit_one(self, tmp_path, monkeypatch, capsys):
         real = cli.enumerate_chains
 
@@ -363,6 +375,8 @@ INVALID_INPUTS = [
     ("sweep_n_number", "sweep-n", _doc(sweep_n=5), [], "error: sweep_n: expected an object"),
     ("sweep_n_missing", "sweep-n", _doc(sweep_n={}), [], "error: sweep_n: missing key(s) ['n_max']"),
     ("n_max_zero", "sweep-n", _doc(sweep_n={"n_max": 0}), [], "error: sweep_n.n_max: 0 below minimum 1"),
+    ("n_max_above", "sweep-n", _doc(sweep_n={"n_max": 10**5 + 1}), [],
+     "error: sweep_n.n_max: 100001 above maximum 100000"),
     ("no_sweep_n", "sweep-n", _doc(), [], "error: config has no sweep_n section"),
     ("sweep_binary_missing", "sweep-binary", _doc(sweep_binary={}), [],
      "error: sweep_binary: missing key(s) ['dimension', 'grid']"),
