@@ -272,12 +272,14 @@ def _write_csvs(out: Path, tables: "dict[str, list[dict]]") -> list[Path]:
             if path.is_dir():
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         for path, rows in zip(paths, tables.values()):
-            lines = [",".join(rows[0])]
-            # Most cells are floats: format them here, ahead of _fmt's type tests.
-            lines.extend(
-                ",".join(f"{cell:.12g}" if type(cell) is float else _fmt(cell) for cell in row.values())
-                for row in rows
-            )
+            # One column at a time: a column of Python floats, the most common
+            # kind, is formatted in one pass, any other cell by _fmt.
+            columns = [
+                [f"{cell:.12g}" for cell in column] if all(type(cell) is float for cell in column)
+                else list(map(_fmt, column))
+                for column in zip(*[row.values() for row in rows])
+            ]
+            lines = [",".join(rows[0]), *map(",".join, zip(*columns))]
             temps.append(path.with_name(f".{path.name}.{os.getpid()}.tmp"))
             temps[-1].write_text("\n".join(lines) + "\n", encoding="utf-8")
         for temp, path in zip(temps, paths):
@@ -503,14 +505,22 @@ def _flag_keys(command: str) -> list:
     return [key for key in keys if key.name in FLAGS]
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: "str | None" = None) -> argparse.ArgumentParser:
+    """The parser, holding only ``command``'s subparser when ``command``
+    names one and every command's otherwise (help, a missing or unknown
+    command).  Its text is the same either way."""
     parser = argparse.ArgumentParser(
         prog="seqmarket",
         description="Equilibria, comparative statics, information design, and "
         "simulation for sequential-visit trading markets.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in (*COMMANDS, "repro"):
+    names = (*COMMANDS, "repro")
+    built = (command,) if command in names else names
+    # argparse lists the built commands in the usage line, which an
+    # "unrecognized arguments" error prints; it lists every command.
+    metavar = None if built == names else "{" + ",".join(names) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in built:
         p = sub.add_parser(name)
         p.add_argument("--out", type=Path, default=Path("."), help="output directory for CSVs")
         if name == "repro":
@@ -563,7 +573,8 @@ def run(command: str, config: RunConfig, out: Path) -> list[Path]:
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         if args.command == "repro":
             paths = _write_csvs(args.out, REPRO_FIXTURES[args.fixture]())

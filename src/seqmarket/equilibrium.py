@@ -83,6 +83,14 @@ class Strategy:
         return np.asarray(self.accept, dtype=float)
 
 
+def _checked_strategy(accept: tuple[float, ...]) -> Strategy:
+    """A Strategy whose probabilities the caller has already checked to lie
+    in [0, 1], built without ``__post_init__``'s per-entry check."""
+    strategy = object.__new__(Strategy)
+    object.__setattr__(strategy, "accept", accept)
+    return strategy
+
+
 @dataclass(frozen=True)
 class Benchmarks:
     full_info: float
@@ -522,13 +530,18 @@ def _solve_chains(rho: float, c: float, p_L: np.ndarray, p_H: np.ndarray, n: np.
     broken = same_row & ~(accept[:-1] <= accept[1:] + _CHAIN_TOL).all(axis=1)
     surplus = _surplus(rho, c, n[row], r_L, r_H)
 
+    # Every record's range is checked here at once; Strategy's own check
+    # raises the same ValueError for the first record outside [0, 1].
+    outside = ~((accept >= 0.0) & (accept <= 1.0)).all(axis=1)
+    if outside.any():
+        Strategy(tuple(accept[outside.argmax()].tolist()))
     chains: list = [[] for _ in range(B)]
     records = zip(
         row.tolist(), accept.tolist(), psi.tolist(), r_L.tolist(), r_H.tolist(),
         surplus.tolist(), cut.tolist(), mix.tolist(),
     )
     for b, acc, interim, rl, rh, s, j, a in records:
-        chains[b].append(Equilibrium(Strategy(tuple(acc)), interim, rl, rh, s, j, a))
+        chains[b].append(Equilibrium(_checked_strategy(tuple(acc)), interim, rl, rh, s, j, a))
     not_chain = set(row[1:][broken].tolist())
     out: list = []
     for b, chain in enumerate(chains):
@@ -617,10 +630,20 @@ def enumerate_chains(specs: Sequence[MarketSpec]) -> list[tuple[Equilibrium, ...
     largest are padded with massless ones.  If any market fails, raises what
     the first failing one raises.
     """
-    pairs = [spec.experiment.mass_pairs() for spec in specs]
+    # Each distinct experiment's masses are gathered once: a size sweep's
+    # specs all share one.
+    slots: dict[int, int] = {}
+    pairs: list = []
+    index: list[int] = []
+    for spec in specs:
+        key = id(spec.experiment)
+        if key not in slots:
+            slots[key] = len(pairs)
+            pairs.append(spec.experiment.mass_pairs())
+        index.append(slots[key])
     m = max(map(len, pairs), default=0)
     masses = np.array([p + ((0.0, 0.0),) * (m - len(p)) for p in pairs], dtype=float)
-    masses = masses.reshape(len(specs), m, 2)
+    masses = masses.reshape(len(pairs), m, 2)[index]
     return solve_chains(
         [spec.rho for spec in specs], [spec.c for spec in specs],
         masses[:, :, 0], masses[:, :, 1], [spec.n for spec in specs],

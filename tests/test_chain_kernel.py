@@ -158,6 +158,26 @@ def test_array_entry_drops_massless_outcomes_and_follows_the_input():
         solve_chains([1.0, 0.5], 0.6, p_L[:2], p_H[:2], [2, 2**31])
 
 
+def test_records_hold_python_floats_in_the_unit_interval():
+    """The kernel checks its records' range once per batch instead of in each
+    ``Strategy``: every acceptance probability is still a Python float in
+    [0, 1], in a tuple."""
+    rho, c, exp = _seeded_market(SWEEP_SEEDS[5], 5)
+    specs = [demo_market(1), *(tight_market(n) for n in range(1, 51)), *(revealing_market(n) for n in range(1, 51))]
+    specs += [MarketSpec(rho, c, n, exp) for n in range(1, 201)]
+    for chain in enumerate_chains(specs):
+        for eq in chain:
+            assert type(eq.strategy.accept) is tuple
+            assert all(type(a) is float and 0.0 <= a <= 1.0 for a in eq.strategy.accept), eq
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5])
+def test_strategy_outside_the_unit_interval_raises(bad):
+    with pytest.raises(ValueError) as info:
+        Strategy((bad, 1.0))
+    assert str(info.value) == f"acceptance probabilities must lie in [0, 1]: {(bad, 1.0)}"
+
+
 def test_selectors_are_the_chain_ends():
     spec = demo_market(2)
     chain = enumerate_equilibria(spec)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import seqmarket.cli as cli
@@ -174,6 +175,33 @@ class TestCommands:
         assert (out_a / "simulate.csv").read_bytes() == (out_b / "simulate.csv").read_bytes()
 
 
+
+def test_csv_cells_are_pinned(tmp_path):
+    """Every kind of cell a table can hold, byte for byte.  A column of
+    Python floats takes its own formatting pass; ``0.0`` and ``-0.0`` share
+    one, and compare and hash equal, yet print apart."""
+    import numpy as np
+
+    nan, inf = float("nan"), float("inf")
+    columns = {
+        "zero": [0.0, -0.0, 1e-300],
+        "special": [nan, inf, -inf],
+        "numpy_float": [np.float64(-0.0), np.float64(2 / 3), 0.5],
+        "flag": [True, np.True_, False],
+        "count": [np.int64(7), 3, -2],
+        "other": [None, "text", 1],
+        "sparse": [0.25, None, -0.0],
+    }
+    rows = [dict(zip(columns, cells)) for cells in zip(*columns.values())]
+    (path,) = cli._write_csvs(tmp_path, {"cells": rows})
+    assert path.read_bytes() == (
+        b"zero,special,numpy_float,flag,count,other,sparse\n"
+        b"0,nan,-0,true,7,,0.25\n"
+        b"-0,inf,0.666666666667,true,3,text,\n"
+        b"1e-300,-inf,0.5,false,-2,1,-0\n"
+    )
+
+
 class TestExitCodes:
     def test_input_error_is_exit_two(self, tmp_path, capsys):
         doc = json.loads(json.dumps(DEMO_DOC))
@@ -278,6 +306,164 @@ def test_cli_import_leaves_scipy_optimize_out():
     probe = "import sys, seqmarket.cli; print('scipy.optimize' in sys.modules, 'concurrent.futures' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False False"
+
+
+def test_cli_import_builds_no_parser():
+    """``main`` builds its parser per call; importing the CLI builds none,
+    so no parser cost hides in the import."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+import seqmarket.cli
+print(len(built))
+seqmarket.cli._build_parser()
+print(len(built))
+"""
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0", "8"]
+
+
+@pytest.mark.parametrize("command, parsers", [("sweep-n", 2), ("repro", 2), (None, 8), ("bogus", 8), ("--help", 8)])
+def test_parser_holds_only_the_named_command(monkeypatch, command, parsers):
+    """A command named first gets the root parser and its own subparser;
+    anything else gets every command's."""
+    built = []
+    init = cli.argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counting)
+    cli._build_parser(command)
+    assert len(built) == parsers
+
+
+_ROOT_USAGE = """\
+usage: seqmarket [-h]
+                 {solve,sweep-n,sweep-binary,spread,design,simulate,repro} ...
+"""
+_BARE_USAGE = "usage: seqmarket {command} [-h] [--out OUT] --config CONFIG\n"
+_SWEEP_BINARY_USAGE = """\
+usage: seqmarket sweep-binary [-h] [--out OUT] --config CONFIG [--grid GRID]
+                              [--selector {most,least}]
+"""
+_SPREAD_USAGE = """\
+usage: seqmarket spread [-h] [--out OUT] --config CONFIG
+                        [--selector {most,least}]
+"""
+_SIMULATE_USAGE = """\
+usage: seqmarket simulate [-h] [--out OUT] --config CONFIG [--trials TRIALS]
+                          [--seed SEED]
+"""
+_REPRO_USAGE = """\
+usage: seqmarket repro [-h] [--out OUT]
+                       {table1,table2,section8,modified-example}
+"""
+_BARE_OPTIONS = """
+options:
+  -h, --help       show this help message and exit
+  --out OUT        output directory for CSVs
+  --config CONFIG  JSON config path
+"""
+
+# (id, argv, exit code, stdout, stderr), as argparse on Python 3.11 prints
+# them 80 columns wide.
+PARSER_TEXT = [
+    ("root_help", ["--help"], 0, _ROOT_USAGE + """
+Equilibria, comparative statics, information design, and simulation for
+sequential-visit trading markets.
+
+positional arguments:
+  {solve,sweep-n,sweep-binary,spread,design,simulate,repro}
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+    *[
+        (f"{command}_help", [command, "--help"], 0, _BARE_USAGE.format(command=command) + _BARE_OPTIONS, "")
+        for command in ("solve", "sweep-n", "design")
+    ],
+    ("sweep-binary_help", ["sweep-binary", "--help"], 0, _SWEEP_BINARY_USAGE + """
+options:
+  -h, --help            show this help message and exit
+  --out OUT             output directory for CSVs
+  --config CONFIG       JSON config path
+  --grid GRID           override grid as start:stop:count
+  --selector {most,least}
+""", ""),
+    ("spread_help", ["spread", "--help"], 0, _SPREAD_USAGE + """
+options:
+  -h, --help            show this help message and exit
+  --out OUT             output directory for CSVs
+  --config CONFIG       JSON config path
+  --selector {most,least}
+""", ""),
+    ("simulate_help", ["simulate", "--help"], 0, _SIMULATE_USAGE + _BARE_OPTIONS + """\
+  --trials TRIALS
+  --seed SEED
+""", ""),
+    ("repro_help", ["repro", "--help"], 0, _REPRO_USAGE + """
+positional arguments:
+  {table1,table2,section8,modified-example}
+
+options:
+  -h, --help            show this help message and exit
+  --out OUT             output directory for CSVs
+""", ""),
+    ("no_arguments", [], 2, "", _ROOT_USAGE + "seqmarket: error: the following arguments are required: command\n"),
+    ("unknown_command", ["bogus"], 2, "", _ROOT_USAGE + "seqmarket: error: argument command: invalid choice: 'bogus' "
+     "(choose from 'solve', 'sweep-n', 'sweep-binary', 'spread', 'design', 'simulate', 'repro')\n"),
+    ("unknown_option", ["--bogus"], 2, "", _ROOT_USAGE + "seqmarket: error: the following arguments are required: command\n"),
+    ("sweep_n_extra", ["sweep-n", "--config", "x", "extra"], 2, "",
+     _ROOT_USAGE + "seqmarket: error: unrecognized arguments: extra\n"),
+    ("repro_extra", ["repro", "table1", "extra"], 2, "", _ROOT_USAGE + "seqmarket: error: unrecognized arguments: extra\n"),
+    ("foreign_flag", ["solve", "--config", "x", "--trials", "1"], 2, "",
+     _ROOT_USAGE + "seqmarket: error: unrecognized arguments: --trials 1\n"),
+    ("config_missing", ["solve"], 2, "", _BARE_USAGE.format(command="solve")
+     + "seqmarket solve: error: the following arguments are required: --config\n"),
+    ("config_value", ["solve", "--config"], 2, "", _BARE_USAGE.format(command="solve")
+     + "seqmarket solve: error: argument --config: expected one argument\n"),
+    ("config_unreadable", ["solve", "--config", "missing.json"], 2, "",
+     "error: cannot read config: [Errno 2] No such file or directory: 'missing.json'\n"),
+    ("fixture_missing", ["repro"], 2, "", _REPRO_USAGE + "seqmarket repro: error: the following arguments are required: fixture\n"),
+    ("fixture_value", ["repro", "bogus"], 2, "", _REPRO_USAGE + "seqmarket repro: error: argument fixture: invalid choice: "
+     "'bogus' (choose from 'table1', 'table2', 'section8', 'modified-example')\n"),
+    ("out_value", ["repro", "table1", "--out"], 2, "", _REPRO_USAGE + "seqmarket repro: error: argument --out: expected one argument\n"),
+    ("grid_value", ["sweep-binary", "--config", "x", "--grid"], 2, "",
+     _SWEEP_BINARY_USAGE + "seqmarket sweep-binary: error: argument --grid: expected one argument\n"),
+    ("binary_selector_value", ["sweep-binary", "--config", "x", "--selector", "x"], 2, "", _SWEEP_BINARY_USAGE
+     + "seqmarket sweep-binary: error: argument --selector: invalid choice: 'x' (choose from 'most', 'least')\n"),
+    ("spread_selector_value", ["spread", "--config", "x", "--selector", "x"], 2, "", _SPREAD_USAGE
+     + "seqmarket spread: error: argument --selector: invalid choice: 'x' (choose from 'most', 'least')\n"),
+    ("trials_value", ["simulate", "--config", "x", "--trials", "x"], 2, "",
+     _SIMULATE_USAGE + "seqmarket simulate: error: argument --trials: invalid int value: 'x'\n"),
+    ("seed_value", ["simulate", "--config", "x", "--seed", "x"], 2, "",
+     _SIMULATE_USAGE + "seqmarket simulate: error: argument --seed: invalid int value: 'x'\n"),
+    ("repro_runs", ["repro", "table1", "--out", "out"], 0, "out/table1.csv\n", ""),
+]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse's wording differs between Python versions")
+@pytest.mark.parametrize("argv, code, stdout, stderr", [case[1:] for case in PARSER_TEXT], ids=[case[0] for case in PARSER_TEXT])
+def test_parser_text_is_pinned(tmp_path, monkeypatch, capsys, argv, code, stdout, stderr):
+    """Help, usage and argument errors, byte for byte, with their exit codes:
+    a one-command parser prints what the full one does, and a root usage
+    line lists every command."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        got = cli.main(argv)
+    except SystemExit as exc:  # help and argparse's errors exit this way
+        got = exc.code
+    assert (got, *capsys.readouterr()) == (code, stdout, stderr)
 
 
 class TestRepro:
