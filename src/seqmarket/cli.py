@@ -255,6 +255,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _format_column(column) -> list[str]:
+    """The cells of a table column as ``_fmt`` writes them.  A column of
+    Python floats, the most common kind, or of Python bools is formatted in
+    one pass; any other column cell by cell."""
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        return [f"{cell:.12g}" for cell in column]
+    if kinds == {bool}:
+        return ["true" if cell else "false" for cell in column]
+    return list(map(_fmt, column))
+
+
 def _write_csvs(out: Path, tables: "dict[str, list[dict]]") -> list[Path]:
     """Creates ``out`` and writes each table (name -> rows, each a dict from
     column name to cell) to ``out/name.csv``, headed by its first row's keys;
@@ -272,13 +284,7 @@ def _write_csvs(out: Path, tables: "dict[str, list[dict]]") -> list[Path]:
             if path.is_dir():
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         for path, rows in zip(paths, tables.values()):
-            # One column at a time: a column of Python floats, the most common
-            # kind, is formatted in one pass, any other cell by _fmt.
-            columns = [
-                [f"{cell:.12g}" for cell in column] if all(type(cell) is float for cell in column)
-                else list(map(_fmt, column))
-                for column in zip(*[row.values() for row in rows])
-            ]
+            columns = [_format_column(column) for column in zip(*[row.values() for row in rows])]
             lines = [",".join(rows[0]), *map(",".join, zip(*columns))]
             temps.append(path.with_name(f".{path.name}.{os.getpid()}.tmp"))
             temps[-1].write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -378,10 +384,22 @@ def _design_row(report: design_mod.GarblingReport) -> dict:
 
 
 def _cmd_design(config: RunConfig) -> dict:
-    tables = {"design": [_design_row(design_mod.optimal_garbling(config.market))]}
+    market = config.market
+    tables = {"design": [_design_row(design_mod.optimal_garbling(market))]}
     if config.design.emit_grid:
-        reports = design_mod.garbling_grid(config.market, config.design.grid_points)
-        tables["design_grid"] = [_design_row(r) for r in reports]
+        # _design_row's columns, read off the grid's diagnostics.
+        diag = design_mod.garbling_grid(market, config.design.grid_points)
+        rows, labels = diag["threshold_row"], market.experiment.labels
+        columns = {
+            "D": diag["D"].tolist(),
+            "threshold_label": [labels[i] for i in rows.tolist()],
+            "mixing_weight": diag["weights"][np.arange(rows.size), rows].tolist(),
+            "is_ic": diag["is_ic"].tolist(),
+            "is_irrelevant": diag["is_irrelevant"].tolist(),
+            "F": diag["margin"].tolist(),
+            "obeyed_surplus": diag["obeyed_surplus"].tolist(),
+        }
+        tables["design_grid"] = [dict(zip(columns, cells)) for cells in zip(*columns.values())]
     return tables
 
 

@@ -29,8 +29,10 @@ experiment's likelihood-ratio frontier.  Raising ``a_H`` at fixed ``a_L``
 So moving a rule to the frontier keeps it IC and weakly raises its obeyed
 surplus, and the best IC monotone garbling is the best IC rule.
 
-``grid_diagnostics`` evaluates garblings, vectorised over ``D``; the search,
-the reports and the one-garbling predicates all read its rows.
+``grid_diagnostics`` evaluates garblings, vectorised over ``D``: the grid,
+the reports and the one-garbling predicates read its columns.  The searches
+evaluate only the piece they test, the IC test or the finite irrelevance
+margin, which ``grid_diagnostics`` composes, so each formula has one copy.
 """
 
 from __future__ import annotations
@@ -153,10 +155,36 @@ def garbling_from_param(exp: FiniteExperiment, d: float) -> MonotoneBinaryGarbli
     )
 
 
+def _ic_mask(spec: MarketSpec, masses) -> np.ndarray:
+    """Whether obeying each garbling's recommendations is optimal at the
+    consistent interim belief, from its ``_masses``; a recommendation never
+    issued imposes no condition."""
+    _, accept_l, accept_h, reject_l, reject_h = masses
+    psi = interim_from_rejections(spec.rho, reject_l, reject_h, spec.n)
+    return ((reject_l + reject_h == 0.0) | (_gaps(spec.c, reject_l, reject_h, psi) <= INDIFFERENCE_TOL)) & (
+        (accept_l + accept_h == 0.0) | (_gaps(spec.c, accept_l, accept_h, psi) >= -INDIFFERENCE_TOL)
+    )
+
+
+def _finite_margin(spec: MarketSpec, d: np.ndarray, masses) -> tuple[np.ndarray, np.ndarray]:
+    """The rejection odds and the finite irrelevance margin of the garblings
+    with parameters ``d`` and masses ``masses`` (see ``grid_diagnostics``)."""
+    _, accept_l, accept_h, reject_l, reject_h = masses
+    lr = _likelihood_ratios(spec.experiment)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        odds = np.where(
+            reject_l + reject_h == 0.0, lr[0], np.where(accept_l + accept_h == 0.0, 1.0, reject_h / reject_l)
+        )
+    rows = _threshold_row(spec.experiment.m, d)
+    return odds, _irrelevance_display(spec.rho, spec.c, lr[rows], odds, spec.n - 1)
+
+
 def grid_diagnostics(spec: MarketSpec, d_values) -> dict[str, np.ndarray]:
     """Everything the design reports of the garblings with parameters
-    ``d_values``, in one vectorised pass; every diagnostic is read from it
-    (``garbling_from_param`` only forms masses, through ``_masses``).
+    ``d_values``, in one vectorised pass (``garbling_from_param`` only forms
+    masses, through ``_masses``).  It composes the IC test (``_ic_mask``)
+    and the finite margin (``_finite_margin``), which the searches evaluate
+    alone, so each point's IC flag and margin are those the searches read.
 
     Returns arrays in grid order keyed ``D``; ``weights`` (accept weight per
     row), ``threshold_row``; ``accept_L``, ``accept_H``, ``reject_L``,
@@ -174,36 +202,28 @@ def grid_diagnostics(spec: MarketSpec, d_values) -> dict[str, np.ndarray]:
     """
     exp = spec.experiment
     d = np.asarray(d_values, dtype=float)
-    weights, accept_l, accept_h, reject_l, reject_h = _masses(exp, d)
-    rows = _threshold_row(exp.m, d)
+    masses = _masses(exp, d)
+    weights, accept_l, accept_h, reject_l, reject_h = masses
     no_reject = reject_l + reject_h == 0.0
     no_accept = accept_l + accept_h == 0.0
-
-    psi = interim_from_rejections(spec.rho, reject_l, reject_h, spec.n)
-    ic = (no_reject | (_gaps(spec.c, reject_l, reject_h, psi) <= INDIFFERENCE_TOL)) & (
-        no_accept | (_gaps(spec.c, accept_l, accept_h, psi) >= -INDIFFERENCE_TOL)
-    )
-
-    lr = _likelihood_ratios(exp)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        odds = np.where(no_reject, lr[0], np.where(no_accept, 1.0, reject_h / reject_l))
-    finite_margin = _irrelevance_display(spec.rho, spec.c, lr[rows], odds, spec.n - 1)
+    odds, finite_margin = _finite_margin(spec, d, masses)
     # Irrelevance also holds where acceptance is never recommended, and,
     # where rejection never is, only if even n bottom signals leave trade
     # weakly profitable; that clause can disagree with the +inf margin.
+    lr_bottom = _likelihood_ratios(exp)[0]
     never_reject_ok = no_reject.any() and (
-        _irrelevance_display(spec.rho, spec.c, lr[0], lr[0], spec.n - 1) >= 0.0
+        _irrelevance_display(spec.rho, spec.c, lr_bottom, lr_bottom, spec.n - 1) >= 0.0
     )
     irrelevant = no_accept | np.where(no_reject, never_reject_ok, finite_margin >= 0.0)
     return {
         "D": d,
         "weights": weights,
-        "threshold_row": rows,
+        "threshold_row": _threshold_row(exp.m, d),
         "accept_L": accept_l,
         "accept_H": accept_h,
         "reject_L": reject_l,
         "reject_H": reject_h,
-        "is_ic": ic,
+        "is_ic": _ic_mask(spec, masses),
         "rejection_odds": odds,
         "finite_margin": finite_margin,
         "margin": np.where(no_reject, np.inf, finite_margin),
@@ -282,19 +302,21 @@ def max_irrelevant_param(spec: MarketSpec) -> float:
     at most 80 steps (the descent through the dense floats near 0).
     ``D == 0`` always qualifies (acceptance is never recommended there).
     """
-    m = spec.experiment.m
-    ends = grid_diagnostics(spec, np.arange(m + 1, dtype=float))
+    exp = spec.experiment
+    margin = lambda d: _finite_margin(spec, d, _masses(exp, d))
+    ends = np.arange(exp.m + 1, dtype=float)
+    odds, at_ends = margin(ends)
     # The margin's limit at the left end of segment (seg - 1, seg], which
     # splits row m - seg: that row's likelihood ratio with the rejection
     # odds of the garbling seg - 1.
-    lr_split = _likelihood_ratios(spec.experiment)[::-1]
-    left = _irrelevance_display(spec.rho, spec.c, lr_split, ends["rejection_odds"][:-1], spec.n - 1)
-    for seg in range(m, 0, -1):
-        if ends["finite_margin"][seg] >= 0.0:
+    lr_split = _likelihood_ratios(exp)[::-1]
+    left = _irrelevance_display(spec.rho, spec.c, lr_split, odds[:-1], spec.n - 1)
+    for seg in range(exp.m, 0, -1):
+        if at_ends[seg] >= 0.0:
             return float(seg)
         if left[seg - 1] < 0.0:
             continue
-        holds = lambda d: grid_diagnostics(spec, d)["finite_margin"] >= 0.0
+        holds = lambda d: margin(d)[1] >= 0.0
         (lo,), _ = _bisect(holds, [seg - 1], [seg], 80)
         return lo
     return 0.0
@@ -305,12 +327,12 @@ def ic_intervals(spec: MarketSpec) -> tuple[tuple[float, float], ...]:
     intervals.  Both IC margins are continuous in ``D``, so a dense scan with
     bisection-refined boundaries recovers the set: each boundary bisects from
     its scan cell's IC end until ``|hi - lo| <= IC_REFINE_TOL``."""
-    m = spec.experiment.m
-    grid = np.linspace(0.0, float(m), m * IC_SCAN_PER_SEGMENT + 1)
-    ok = grid_diagnostics(spec, grid)["is_ic"]
+    exp = spec.experiment
+    holds = lambda d: _ic_mask(spec, _masses(exp, d))
+    grid = np.linspace(0.0, float(exp.m), exp.m * IC_SCAN_PER_SEGMENT + 1)
+    ok = holds(grid)
     # Bisect every disagreeing scan cell from its IC end, grid[i + ok[i + 1]].
     cells = np.flatnonzero(ok[:-1] != ok[1:])
-    holds = lambda d: grid_diagnostics(spec, d)["is_ic"]
     edges, _ = _bisect(holds, grid[cells + ok[cells + 1]], grid[cells + ok[cells]], 60, IC_REFINE_TOL)
     edge = dict(zip(cells.tolist(), edges))
     starts = np.flatnonzero(ok & np.r_[True, ~ok[:-1]]).tolist()
@@ -346,7 +368,8 @@ def optimal_garbling(spec: MarketSpec) -> GarblingReport:
     return max(reports, key=lambda r: (r.obeyed_surplus, -r.garbling.D))
 
 
-def garbling_grid(spec: MarketSpec, num_points: int) -> list[GarblingReport]:
-    """Diagnostic reports on a uniform ``D`` grid (inclusive endpoints)."""
+def garbling_grid(spec: MarketSpec, num_points: int) -> dict[str, np.ndarray]:
+    """``grid_diagnostics`` on a uniform ``D`` grid (inclusive endpoints),
+    as columns: no per-point report is built."""
     grid = np.linspace(0.0, float(spec.experiment.m), num_points)
-    return _reports(spec, grid_diagnostics(spec, grid))
+    return grid_diagnostics(spec, grid)

@@ -178,8 +178,10 @@ class TestCommands:
 
 def test_csv_cells_are_pinned(tmp_path):
     """Every kind of cell a table can hold, byte for byte.  A column of
-    Python floats takes its own formatting pass; ``0.0`` and ``-0.0`` share
-    one, and compare and hash equal, yet print apart."""
+    Python floats takes its own formatting pass, and so does one of Python
+    bools; ``0.0`` and ``-0.0`` share one, and compare and hash equal, yet
+    print apart.  A column mixing ``True`` and ``np.True_`` goes cell by
+    cell."""
     import numpy as np
 
     nan, inf = float("nan"), float("inf")
@@ -188,6 +190,7 @@ def test_csv_cells_are_pinned(tmp_path):
         "special": [nan, inf, -inf],
         "numpy_float": [np.float64(-0.0), np.float64(2 / 3), 0.5],
         "flag": [True, np.True_, False],
+        "bools": [False, True, True],
         "count": [np.int64(7), 3, -2],
         "other": [None, "text", 1],
         "sparse": [0.25, None, -0.0],
@@ -195,10 +198,10 @@ def test_csv_cells_are_pinned(tmp_path):
     rows = [dict(zip(columns, cells)) for cells in zip(*columns.values())]
     (path,) = cli._write_csvs(tmp_path, {"cells": rows})
     assert path.read_bytes() == (
-        b"zero,special,numpy_float,flag,count,other,sparse\n"
-        b"0,nan,-0,true,7,,0.25\n"
-        b"-0,inf,0.666666666667,true,3,text,\n"
-        b"1e-300,-inf,0.5,false,-2,1,-0\n"
+        b"zero,special,numpy_float,flag,bools,count,other,sparse\n"
+        b"0,nan,-0,true,false,7,,0.25\n"
+        b"-0,inf,0.666666666667,true,true,3,text,\n"
+        b"1e-300,-inf,0.5,false,true,-2,1,-0\n"
     )
 
 

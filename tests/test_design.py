@@ -47,6 +47,20 @@ def _golden_markets() -> "list[MarketSpec]":
     ]
 
 
+def _design_doc(spec: MarketSpec, grid_points: int) -> dict:
+    """A ``design`` config for ``spec`` that emits a ``grid_points`` grid."""
+    return {
+        "schema_version": 1,
+        "market": {
+            "rho": spec.rho,
+            "c": spec.c,
+            "n": spec.n,
+            "experiment": [{"p_L": o.p_L, "p_H": o.p_H} for o in spec.experiment.outcomes],
+        },
+        "design": {"emit_grid": True, "grid_points": grid_points},
+    }
+
+
 class TestGarblingFromParam:
     def test_threshold_at_signal_boundary(self):
         g = garbling_from_param(demo_market().experiment, 1.0)
@@ -229,19 +243,33 @@ class TestStructuralInvariants:
     def test_grid_reports_match_pointwise_reports(self):
         """Every key of a 401-point ``grid_diagnostics`` call is, row by row,
         ``==`` what a one-point call gives: the row independence that the
-        batched bisections rely on.  Reports read those rows."""
+        batched bisections rely on.  The grid, the one-garbling predicates
+        and the two pieces the searches evaluate alone (the IC test and the
+        finite margin), on the grid and at one point, read the same rows."""
         rng = np.random.default_rng(31)
         seeded = [random_market(rng, m_choices=(m,), n_range=(2, 50)) for m in (2, 3, 4, 5)]
         for spec in _golden_markets() + seeded:
-            grid = np.linspace(0.0, float(spec.experiment.m), 401)
+            exp = spec.experiment
+            grid = np.linspace(0.0, float(exp.m), 401)
             diag = grid_diagnostics(spec, grid)
             points = [grid_diagnostics(spec, [d]) for d in grid]
             for key, column in diag.items():
                 np.testing.assert_array_equal(column, [p[key][0] for p in points], err_msg=f"{key} {spec}")
-            for report, point in zip(garbling_grid(spec, 401), points):
-                assert report.garbling.D == point["D"][0]
-                assert report.is_ic == point["is_ic"][0]
-                assert report.obeyed_surplus == obeyed_surplus(spec, report.garbling) == point["obeyed_surplus"][0]
+            columns = garbling_grid(spec, 401)
+            assert columns.keys() == diag.keys()
+            for key, column in diag.items():
+                np.testing.assert_array_equal(columns[key], column, err_msg=f"{key} {spec}")
+            masses = design._masses(exp, grid)
+            np.testing.assert_array_equal(design._ic_mask(spec, masses), diag["is_ic"])
+            odds, margin = design._finite_margin(spec, grid, masses)
+            np.testing.assert_array_equal(odds, diag["rejection_odds"])
+            np.testing.assert_array_equal(margin, diag["finite_margin"])
+            one_point = [design._masses(exp, [d]) for d in grid]
+            np.testing.assert_array_equal([design._ic_mask(spec, x)[0] for x in one_point], diag["is_ic"])
+            margins = [design._finite_margin(spec, [d], x)[1][0] for d, x in zip(grid, one_point)]
+            np.testing.assert_array_equal(margins, diag["finite_margin"])
+            for d, surplus in zip(grid, columns["obeyed_surplus"]):
+                assert obeyed_surplus(spec, garbling_from_param(exp, float(d))) == surplus
 
 
 class TestLargeMarkets:
@@ -249,19 +277,8 @@ class TestLargeMarkets:
     def test_design_runs_at_five_thousand_buyers(self, tmp_path, market):
         # The rejection masses to the 4999th power underflow to 0 in both
         # states; the odds display must not divide them.
-        spec = market(5000)
-        doc = {
-            "schema_version": 1,
-            "market": {
-                "rho": spec.rho,
-                "c": spec.c,
-                "n": spec.n,
-                "experiment": [{"p_L": o.p_L, "p_H": o.p_H} for o in spec.experiment.outcomes],
-            },
-            "design": {"emit_grid": True, "grid_points": 401},
-        }
         config = tmp_path / "config.json"
-        config.write_text(json.dumps(doc), encoding="utf-8")
+        config.write_text(json.dumps(_design_doc(market(5000), 401)), encoding="utf-8")
         assert cli.main(["design", "--config", str(config), "--out", str(tmp_path)]) == 0
         row = (tmp_path / "design.csv").read_text().splitlines()[1].split(",")
         assert row[3] == "true"
@@ -277,7 +294,7 @@ def test_optimum_is_ic_and_beats_every_ic_grid_point():
         report = optimal_garbling(spec)
         assert report.is_ic
         grid = garbling_grid(spec, 401)
-        best = max(r.obeyed_surplus for r in grid if r.is_ic)
+        best = grid["obeyed_surplus"][grid["is_ic"]].max()
         assert best <= report.obeyed_surplus + 1e-9, spec
 
 
@@ -403,18 +420,46 @@ def test_ic_intervals_match_one_call_per_step():
 
 
 def test_searches_batch_their_bisection_steps(monkeypatch):
-    """Six bisection steps per ``grid_diagnostics`` call.
-    ``max_irrelevant_param`` makes one call for the segment ends and at most
-    ceil(80 / 6) for its bisection.  ``ic_intervals`` makes one for its scan
-    and ceil(31 / 6) for the 31 halvings that take a 1/512 cell below
-    ``IC_REFINE_TOL``; the bound leaves one to spare."""
+    """Six bisection steps per evaluation (one ``_masses`` call), and never
+    the whole ``grid_diagnostics``: each search evaluates only the piece it
+    tests.  ``max_irrelevant_param`` makes one evaluation for the segment
+    ends and at most ceil(80 / 6) for its bisection.  ``ic_intervals`` makes
+    one for its scan and ceil(31 / 6) for the 31 halvings that take a 1/512
+    cell below ``IC_REFINE_TOL``; the bound leaves one to spare."""
     calls = []
-    diagnostics = design.grid_diagnostics
-    monkeypatch.setattr(design, "grid_diagnostics", lambda *args: calls.append(0) or diagnostics(*args))
+    masses = design._masses
+    monkeypatch.setattr(design, "_masses", lambda *args: calls.append(0) or masses(*args))
+    monkeypatch.setattr(design, "grid_diagnostics", None)
     for spec in _search_markets():
         calls.clear()
         max_irrelevant_param(spec)
-        assert len(calls) <= 1 + math.ceil(80 / 6), spec
+        assert 1 <= len(calls) <= 1 + math.ceil(80 / 6), spec
         calls.clear()
         ic_intervals(spec)
-        assert len(calls) <= 8, spec
+        assert 1 <= len(calls) <= 8, spec
+
+
+def _grid_markets() -> "list[MarketSpec]":
+    """The design-golden markets, a seeded one for each m = 2-5 and
+    n = 1, 2, 50, 5000, and a seeded one with a revealing top row."""
+    rng = np.random.default_rng(2023)
+    seeded = [random_market(rng, m_choices=(m,), n_range=(n, n)) for m in (2, 3, 4, 5) for n in (1, 2, 50, 5000)]
+    return _golden_markets() + seeded + [random_market(rng, m_choices=(4,), fully_revealing_top=True)]
+
+
+def test_design_grid_csv_matches_pointwise_reports(tmp_path):
+    """Every ``design_grid.csv`` line the CLI writes from the grid's columns
+    is the line the writer makes from the report at that ``D``, on markets
+    whose optimum at ``D*`` is IC and markets where it is not."""
+    ic_at_d_star = set()
+    for k, spec in enumerate(_grid_markets()):
+        config = tmp_path / f"{k}.json"
+        config.write_text(json.dumps(_design_doc(spec, 201)), encoding="utf-8")
+        assert cli.main(["design", "--config", str(config), "--out", str(tmp_path / str(k))]) == 0
+        spec = cli.parse_config(config.read_text(encoding="utf-8")).market
+        grid = np.linspace(0.0, float(spec.experiment.m), 201)
+        rows = [cli._design_row(design.report_at(spec, float(d))) for d in grid]
+        (want,) = cli._write_csvs(tmp_path / f"want{k}", {"design_grid": rows})
+        assert (tmp_path / str(k) / "design_grid.csv").read_bytes() == want.read_bytes(), spec
+        ic_at_d_star.add(design.report_at(spec, max_irrelevant_param(spec)).is_ic)
+    assert ic_at_d_star == {True, False}
