@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import itertools
 import json
 import math
 import os
@@ -267,33 +268,56 @@ def _format_column(column) -> list[str]:
     return list(map(_fmt, column))
 
 
-def _write_csvs(out: Path, tables: "dict[str, list[dict]]") -> list[Path]:
-    """Creates ``out`` and writes each table (name -> rows, each a dict from
-    column name to cell) to ``out/name.csv``, headed by its first row's keys;
-    returns the paths.  Nothing else writes under ``out``.
+def _csv_text(table: dict) -> str:
+    """A table as CSV text: its column names, then one line per row.  A
+    ``list`` column holds one cell per row; any other value is shared by
+    every row and formatted once.  A table without a list column has one
+    row, and list columns of unequal length are a ValueError."""
+    lengths = {len(cells) for cells in table.values() if isinstance(cells, list)}
+    if len(lengths) > 1:
+        raise ValueError(f"table columns have unequal lengths {sorted(lengths)}")
+    rows = lengths.pop() if lengths else 1
+    columns = [
+        _format_column(cells) if isinstance(cells, list) else itertools.repeat(_fmt(cells), rows)
+        for cells in table.values()
+    ]
+    return "\n".join([",".join(table), *map(",".join, zip(*columns))]) + "\n"
 
-    Each table goes to a temporary file beside its target, and the
-    temporaries are renamed only once every one is written, so a write that
-    fails leaves no CSV behind.  A target that is a directory, which the
-    rename would fail on, is refused before anything is written."""
+
+def _write_csvs(out: Path, tables: "dict[str, dict]") -> list[Path]:
+    """Creates ``out`` and writes each table (name -> {column name: cells},
+    as ``_csv_text`` takes it) to ``out/name.csv``; returns the paths.
+    Nothing else writes under ``out``.
+
+    Every table is formatted before anything is written.  Each goes to a
+    temporary file beside its target, and the temporaries are renamed only
+    once every one is written, so a write that fails leaves no CSV behind;
+    nor does it leave the directories that creating ``out`` made, which are
+    removed again, innermost first, where empty.  A target that is a
+    directory, which the rename would fail on, is refused before anything is
+    written."""
+    texts = [_csv_text(table) for table in tables.values()]
     paths = [out / f"{name}.csv" for name in tables]
+    created: list[Path] = []
     temps: list[Path] = []
     try:
+        created = list(itertools.takewhile(lambda d: not d.exists(), (out, *out.parents)))
         out.mkdir(parents=True, exist_ok=True)
         for path in paths:
             if path.is_dir():
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-        for path, rows in zip(paths, tables.values()):
-            columns = [_format_column(column) for column in zip(*[row.values() for row in rows])]
-            lines = [",".join(rows[0]), *map(",".join, zip(*columns))]
+        for path, text in zip(paths, texts):
             temps.append(path.with_name(f".{path.name}.{os.getpid()}.tmp"))
-            temps[-1].write_text("\n".join(lines) + "\n", encoding="utf-8")
+            temps[-1].write_text(text, encoding="utf-8")
         for temp, path in zip(temps, paths):
             temp.replace(path)
     except OSError as exc:
         for temp in temps:
             with contextlib.suppress(OSError):
                 temp.unlink(missing_ok=True)
+        for directory in created:
+            with contextlib.suppress(OSError):
+                directory.rmdir()
         raise ValidationError(f"cannot write output: {exc}") from exc
     return paths
 
@@ -306,58 +330,52 @@ def _trade_probs(spec: MarketSpec, eq: Equilibrium) -> tuple[float, float]:
 def _cmd_solve(config: RunConfig) -> dict:
     # Each column is the Equilibrium attribute of its name.
     names = ("cutoff_index", "mixing_prob", "interim", "r_L", "r_H", "surplus")
-    rows = [{name: getattr(eq, name) for name in names} for eq in enumerate_equilibria(config.market)]
-    return {"solve": rows}
+    chain = enumerate_equilibria(config.market)
+    return {"solve": {name: [getattr(eq, name) for eq in chain] for name in names}}
 
 
 def _cmd_sweep_n(config: RunConfig) -> dict:
     result = surplus_vs_n(config.market, config.sweep_n.n_max)
     bench = benchmarks(config.market)
-    rows = [
-        {
-            "n": p.n,
-            "most_selective_surplus": p.most_selective_surplus,
-            "least_selective_surplus": p.least_selective_surplus,
-            "no_info": bench.no_info,
-            "full_info": bench.full_info,
-            "limit_class": result.limit_class.value,
-            "predicted_limit": result.predicted_limit,
-            "eventual_monotone_from": result.eventual_monotone_from,
-        }
-        for p in result.records
-    ]
-    return {"sweep_n": rows}
+    columns = {
+        "n": [p.n for p in result.records],
+        "most_selective_surplus": [p.most_selective_surplus for p in result.records],
+        "least_selective_surplus": [p.least_selective_surplus for p in result.records],
+        "no_info": bench.no_info,
+        "full_info": bench.full_info,
+        "limit_class": result.limit_class.value,
+        "predicted_limit": result.predicted_limit,
+        "eventual_monotone_from": result.eventual_monotone_from,
+    }
+    return {"sweep_n": columns}
 
 
 def _cmd_sweep_binary(config: RunConfig) -> dict:
     cfg, market = config.sweep_binary, config.market
     curve = sweep_binary(market, cfg.dimension, cfg.grid, cfg.selector)
     bench = benchmarks(market)
-    rows = [
-        {
-            "dimension": cfg.dimension,
-            "s_L": p.s_L,
-            "s_H": p.s_H,
-            "rho": market.rho,
-            "c": market.c,
-            "n": market.n,
-            "selector": cfg.selector,
-            "cutoff_index": p.equilibrium.cutoff_index,
-            "mixing_prob": p.equilibrium.mixing_prob,
-            "surplus": p.surplus,
-            "no_info": bench.no_info,
-            "full_info": bench.full_info,
-        }
-        for p in curve.points
-    ]
-    return {"sweep_binary": rows}
+    columns = {
+        "dimension": cfg.dimension,
+        "s_L": [p.s_L for p in curve.points],
+        "s_H": [p.s_H for p in curve.points],
+        "rho": market.rho,
+        "c": market.c,
+        "n": market.n,
+        "selector": cfg.selector,
+        "cutoff_index": [p.equilibrium.cutoff_index for p in curve.points],
+        "mixing_prob": [p.equilibrium.mixing_prob for p in curve.points],
+        "surplus": [p.surplus for p in curve.points],
+        "no_info": bench.no_info,
+        "full_info": bench.full_info,
+    }
+    return {"sweep_binary": columns}
 
 
 def _cmd_spread(config: RunConfig) -> dict:
     cfg = config.spread
     params = LocalSpreadParams(index=cfg.index, lr_low=OddsRatio(*cfg.lr_low), lr_high=OddsRatio(*cfg.lr_high))
     result = spread_surplus_delta(config.market, params, cfg.selector)
-    row = {
+    columns = {
         "index": cfg.index,
         "lr_low": params.lr_low.as_float(),
         "lr_high": params.lr_high.as_float(),
@@ -368,7 +386,7 @@ def _cmd_spread(config: RunConfig) -> dict:
         "surplus_after": result.surplus_after,
         "delta": result.delta,
     }
-    return {"spread": [row]}
+    return {"spread": columns}
 
 
 def _design_row(report: design_mod.GarblingReport) -> dict:
@@ -385,12 +403,12 @@ def _design_row(report: design_mod.GarblingReport) -> dict:
 
 def _cmd_design(config: RunConfig) -> dict:
     market = config.market
-    tables = {"design": [_design_row(design_mod.optimal_garbling(market))]}
+    tables = {"design": _design_row(design_mod.optimal_garbling(market))}
     if config.design.emit_grid:
         # _design_row's columns, read off the grid's diagnostics.
         diag = design_mod.garbling_grid(market, config.design.grid_points)
         rows, labels = diag["threshold_row"], market.experiment.labels
-        columns = {
+        tables["design_grid"] = {
             "D": diag["D"].tolist(),
             "threshold_label": [labels[i] for i in rows.tolist()],
             "mixing_weight": diag["weights"][np.arange(rows.size), rows].tolist(),
@@ -399,7 +417,6 @@ def _cmd_design(config: RunConfig) -> dict:
             "F": diag["margin"].tolist(),
             "obeyed_surplus": diag["obeyed_surplus"].tolist(),
         }
-        tables["design_grid"] = [dict(zip(columns, cells)) for cells in zip(*columns.values())]
     return tables
 
 
@@ -414,25 +431,23 @@ def _cmd_simulate(config: RunConfig) -> dict:
         strategy,
         montecarlo.SimConfig(trials=cfg.trials, seed=cfg.seed, focal_buyer=cfg.focal_buyer),
     )
-    return {"simulate": [{"trials": est.trials, "seed": cfg.seed, **asdict(est)}]}
+    return {"simulate": {"trials": est.trials, "seed": cfg.seed, **asdict(est)}}
 
 
 def _repro_table1() -> dict:
     spec = demo_market()
     chain = enumerate_equilibria(spec)
     low, high = spec.experiment.outcomes
-    rows = [
-        {
-            "equilibrium": name,
-            "accept_low": eq.strategy.accept[0],
-            "accept_high": eq.strategy.accept[1],
-            "interim": eq.interim,
-            "posterior_high": posterior(eq.interim, high),
-            "posterior_low": posterior(eq.interim, low),
-        }
-        for name, eq in (("least_selective", chain[-1]), ("most_selective", chain[0]))
-    ]
-    return {"table1": rows}
+    eqs = (chain[-1], chain[0])
+    columns = {
+        "equilibrium": ["least_selective", "most_selective"],
+        "accept_low": [eq.strategy.accept[0] for eq in eqs],
+        "accept_high": [eq.strategy.accept[1] for eq in eqs],
+        "interim": [eq.interim for eq in eqs],
+        "posterior_high": [posterior(eq.interim, high) for eq in eqs],
+        "posterior_low": [posterior(eq.interim, low) for eq in eqs],
+    }
+    return {"table1": columns}
 
 
 def _repro_table2() -> dict:
@@ -443,18 +458,18 @@ def _repro_table2() -> dict:
     trade_all = 1.0 if spec.rho > spec.c else 0.0
     # One column per benchmark or equilibrium, its cells in "quantity" order.
     columns = {
-        "quantity": ("trade_prob_H", "trade_prob_L", "total_surplus"),
-        "no_info": (trade_all, trade_all, bench.no_info),
-        "least_selective": (*_trade_probs(spec, least), least.surplus),
-        "most_selective": (*_trade_probs(spec, most), most.surplus),
-        "full_info": (1.0, 0.0, bench.full_info),
+        "quantity": ["trade_prob_H", "trade_prob_L", "total_surplus"],
+        "no_info": [trade_all, trade_all, bench.no_info],
+        "least_selective": [*_trade_probs(spec, least), least.surplus],
+        "most_selective": [*_trade_probs(spec, most), most.surplus],
+        "full_info": [1.0, 0.0, bench.full_info],
     }
-    return {"table2": [dict(zip(columns, cells)) for cells in zip(*columns.values())]}
+    return {"table2": columns}
 
 
 def _repro_section8() -> dict:
     specs = [tight_market(n) for n in range(1, 51)]
-    rows = []
+    eqs, trade_H, trade_L, given_trade, given_no_trade = [], [], [], [], []
     for spec, chain in zip(specs, enumerate_chains(specs)):
         n = spec.n
         if len(chain) != 1:
@@ -462,41 +477,40 @@ def _repro_section8() -> dict:
         eq = chain[0]
         p_trade_h, p_trade_l = _trade_probs(spec, eq)
         p_trade = spec.rho * p_trade_h + (1.0 - spec.rho) * p_trade_l
-        p_h_trade = spec.rho * p_trade_h / p_trade if p_trade > 0 else float("nan")
         p_no = 1.0 - p_trade
-        p_h_no = spec.rho * eq.r_H**n / p_no if p_no > 0 else float("nan")
-        rows.append(
-            {
-                "n": n,
-                "cutoff_index": eq.cutoff_index,
-                "mixing_prob": eq.mixing_prob,
-                "sigma_low": eq.strategy.accept[0],
-                "sigma_high": eq.strategy.accept[1],
-                "interim": eq.interim,
-                "r_L": eq.r_L,
-                "r_H": eq.r_H,
-                "surplus": eq.surplus,
-                "trade_prob_H": p_trade_h,
-                "trade_prob_L": p_trade_l,
-                "prob_H_given_trade": p_h_trade,
-                "prob_H_given_no_trade": p_h_no,
-            }
-        )
-    return {"section8": rows}
+        eqs.append(eq)
+        trade_H.append(p_trade_h)
+        trade_L.append(p_trade_l)
+        given_trade.append(spec.rho * p_trade_h / p_trade if p_trade > 0 else float("nan"))
+        given_no_trade.append(spec.rho * eq.r_H**n / p_no if p_no > 0 else float("nan"))
+    columns = {
+        "n": [spec.n for spec in specs],
+        "cutoff_index": [eq.cutoff_index for eq in eqs],
+        "mixing_prob": [eq.mixing_prob for eq in eqs],
+        "sigma_low": [eq.strategy.accept[0] for eq in eqs],
+        "sigma_high": [eq.strategy.accept[1] for eq in eqs],
+        "interim": [eq.interim for eq in eqs],
+        "r_L": [eq.r_L for eq in eqs],
+        "r_H": [eq.r_H for eq in eqs],
+        "surplus": [eq.surplus for eq in eqs],
+        "trade_prob_H": trade_H,
+        "trade_prob_L": trade_L,
+        "prob_H_given_trade": given_trade,
+        "prob_H_given_no_trade": given_no_trade,
+    }
+    return {"section8": columns}
 
 
 def _repro_modified_example() -> dict:
-    chains = enumerate_chains([revealing_market(n) for n in range(1, 51)])
-    rows = [
-        {
-            "n": n,
-            "most_selective_surplus": chain[0].surplus,
-            "least_selective_surplus": chain[-1].surplus,
-            "closed_form_most": 0.4 * (1.0 - 0.25**n),
-        }
-        for n, chain in enumerate(chains, 1)
-    ]
-    return {"modified_example": rows}
+    sizes = range(1, 51)
+    chains = enumerate_chains([revealing_market(n) for n in sizes])
+    columns = {
+        "n": list(sizes),
+        "most_selective_surplus": [chain[0].surplus for chain in chains],
+        "least_selective_surplus": [chain[-1].surplus for chain in chains],
+        "closed_form_most": [0.4 * (1.0 - 0.25**n) for n in sizes],
+    }
+    return {"modified_example": columns}
 
 
 REPRO_FIXTURES = {

@@ -11,15 +11,19 @@ grid point.
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError, asdict, fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_solver as reference
+import seqmarket.equilibrium as equilibrium
 from conftest import random_experiment
 from seqmarket.equilibrium import (
     DEFAULT_MIXING_GRID,
+    Equilibrium,
     MarketSpec,
     Strategy,
     enumerate_chains,
@@ -33,7 +37,7 @@ from seqmarket.equilibrium import (
     _scan_spacing,
 )
 from seqmarket.errors import DegeneratePrior, NoEquilibriumFound
-from seqmarket.experiment import build_experiment
+from seqmarket.experiment import binary_masses_from_labels, build_experiment
 from seqmarket.scenarios import demo_market, revealing_market, tight_market
 
 
@@ -104,6 +108,46 @@ def test_tight_and_revealing_scenarios():
     _assert_matches([revealing_market(n) for n in range(2, 201)])
 
 
+@pytest.mark.parametrize("dimension", ["bad", "good"])
+def test_label_batches_match_the_reference(monkeypatch, dimension):
+    """The batch ``sweep-binary`` solves: one market size and 201 binary
+    experiments, one per label along one dimension, solved from the label
+    map's masses.  Their brackets finish on different refinement steps, so
+    the moving brackets are compressed several times.  The demo market and
+    a seeded binary one, at n = 2 and 24."""
+    refining, sizes = [False], []
+
+    def scan(*args):
+        refining[0] = False
+        hits = real_scan(*args)
+        refining[0] = True
+        sizes.append([])
+        return hits
+
+    def points(*args):
+        if refining[0]:
+            sizes[-1].append(np.size(args[-1]))
+        return real_points(*args)
+
+    real_scan, real_points = equilibrium._scan_hits, equilibrium._mixing_points
+    monkeypatch.setattr(equilibrium, "_scan_hits", scan)
+    monkeypatch.setattr(equilibrium, "_mixing_points", points)
+    rho, c, exp = _seeded_market(66, 2)
+    values = np.linspace(0.0, 0.5, 201) if dimension == "bad" else np.linspace(0.5, 1.0, 201)
+    for base in (demo_market(), MarketSpec(rho, c, 2, exp)):
+        s_low, s_high = base.experiment.labels
+        s_L, s_H = np.broadcast_arrays(*((values, s_high) if dimension == "bad" else (s_low, values)))
+        p_L, p_H, _ = binary_masses_from_labels(s_L, s_H)
+        for n in (2, 24):
+            spec = base.with_n(n)
+            sizes.clear()
+            got = solve_chains(spec.rho, spec.c, p_L, p_H, n)
+            assert max(len(set(steps)) for steps in sizes) >= 3, sizes
+            for sl, sh, chain in zip(s_L.tolist(), s_H.tolist(), got):
+                market = spec.with_experiment(reference.binary_experiment_from_labels(sl, sh))
+                assert chain == _reference(market), (market, sl, sh)
+
+
 def test_exact_indifference_at_one_buyer():
     """At n = 1 the interim belief is the prior and the low outcome's gap is
     exactly zero, so every grid point is an equilibrium (1025 in all)."""
@@ -169,6 +213,27 @@ def test_records_hold_python_floats_in_the_unit_interval():
         for eq in chain:
             assert type(eq.strategy.accept) is tuple
             assert all(type(a) is float and 0.0 <= a <= 1.0 for a in eq.strategy.accept), eq
+
+
+def test_records_behave_like_constructed_ones():
+    """The kernel fills each record's ``__dict__`` instead of calling the
+    frozen ``__init__``.  Every record, and its ``Strategy``, must still
+    equal, hash, print, convert and refuse assignment as one built through
+    ``__init__`` from the same fields."""
+    rho, c, exp = _seeded_market(SWEEP_SEEDS[5], 5)
+    specs = [demo_market(2), tight_market(7), revealing_market(5), MarketSpec(rho, c, 12, exp)]
+    for chain in enumerate_chains(specs):
+        for eq in chain:
+            strategy = Strategy(**{f.name: getattr(eq.strategy, f.name) for f in fields(Strategy)})
+            built = Equilibrium(**{f.name: getattr(eq, f.name) for f in fields(Equilibrium)} | {"strategy": strategy})
+            for got, want in ((eq.strategy, strategy), (eq, built)):
+                assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+                assert list(vars(got)) == list(vars(want)) == [f.name for f in fields(got)]
+                assert asdict(got) == asdict(want)
+                first = fields(got)[0].name
+                assert replace(got, **{first: getattr(want, first)}) == want
+                with pytest.raises(FrozenInstanceError):
+                    setattr(got, first, getattr(want, first))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import errno
 import json
 import os
 import subprocess
@@ -181,7 +182,8 @@ def test_csv_cells_are_pinned(tmp_path):
     Python floats takes its own formatting pass, and so does one of Python
     bools; ``0.0`` and ``-0.0`` share one, and compare and hash equal, yet
     print apart.  A column mixing ``True`` and ``np.True_`` goes cell by
-    cell."""
+    cell.  A value that is not a list is shared by every row, and a table
+    with no list column has one row."""
     import numpy as np
 
     nan, inf = float("nan"), float("inf")
@@ -194,15 +196,31 @@ def test_csv_cells_are_pinned(tmp_path):
         "count": [np.int64(7), 3, -2],
         "other": [None, "text", 1],
         "sparse": [0.25, None, -0.0],
+        "label": "shared",
+        "size": 4,
+        "neg_zero": -0.0,
+        "missing": None,
+        "on": True,
     }
-    rows = [dict(zip(columns, cells)) for cells in zip(*columns.values())]
-    (path,) = cli._write_csvs(tmp_path, {"cells": rows})
-    assert path.read_bytes() == (
-        b"zero,special,numpy_float,flag,bools,count,other,sparse\n"
-        b"0,nan,-0,true,false,7,,0.25\n"
-        b"-0,inf,0.666666666667,true,true,3,text,\n"
-        b"1e-300,-inf,0.5,false,true,-2,1,-0\n"
+    one_row = {"label": "alone", "size": -3, "neg_zero": -0.0, "missing": None, "off": False}
+    cells, single = cli._write_csvs(tmp_path, {"cells": columns, "single": one_row})
+    assert cells.read_bytes() == (
+        b"zero,special,numpy_float,flag,bools,count,other,sparse,label,size,neg_zero,missing,on\n"
+        b"0,nan,-0,true,false,7,,0.25,shared,4,-0,,true\n"
+        b"-0,inf,0.666666666667,true,true,3,text,,shared,4,-0,,true\n"
+        b"1e-300,-inf,0.5,false,true,-2,1,-0,shared,4,-0,,true\n"
     )
+    assert single.read_bytes() == b"label,size,neg_zero,missing,off\nalone,-3,-0,,false\n"
+
+
+def test_csv_columns_of_unequal_length_write_nothing(tmp_path):
+    """List columns of unequal length are a program error, raised before
+    ``--out`` is created or any table, even a well-formed one, is written."""
+    out = tmp_path / "out"
+    tables = {"fine": {"a": [1, 2], "b": "x"}, "ragged": {"a": [1, 2], "b": [1.0]}}
+    with pytest.raises(ValueError, match="unequal lengths"):
+        cli._write_csvs(out, tables)
+    assert not out.exists()
 
 
 class TestExitCodes:
@@ -289,6 +307,34 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: cannot write output:") and len(err.splitlines()) == 1
         assert [path.name for path in out.iterdir()] == ["design_grid.csv"]
+
+    @pytest.mark.parametrize("fresh", [True, False], ids=["fresh_nested_out", "existing_out"])
+    def test_failed_write_leaves_out_as_it_was(self, tmp_path, capsys, monkeypatch, fresh):
+        """When the second table's temporary cannot be written, the failure
+        removes the ``--out`` directories the write created, parents
+        included; an ``--out`` that existed stays, with no CSV in it."""
+        config = write_config(tmp_path, _doc(design={"emit_grid": True, "grid_points": 5}))
+        out = tmp_path / "a" / "b" / "out" if fresh else tmp_path / "out"
+        if not fresh:
+            out.mkdir()
+        real, written = Path.write_text, []
+
+        def second_fails(path, *args, **kwargs):
+            written.append(path.name)
+            if len(written) == 2:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", second_fails)
+        code = cli.main(["design", "--config", str(config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: cannot write output:") and len(err.splitlines()) == 1
+        assert written[1].startswith(".design_grid.csv.")
+        if fresh:
+            assert not (tmp_path / "a").exists()
+        else:
+            assert list(out.iterdir()) == []
 
     def test_section8_without_a_unique_equilibrium_is_exit_one(self, tmp_path, monkeypatch, capsys):
         real = cli.enumerate_chains

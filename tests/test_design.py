@@ -459,7 +459,8 @@ def test_design_grid_csv_matches_pointwise_reports(tmp_path):
         spec = cli.parse_config(config.read_text(encoding="utf-8")).market
         grid = np.linspace(0.0, float(spec.experiment.m), 201)
         rows = [cli._design_row(design.report_at(spec, float(d))) for d in grid]
-        (want,) = cli._write_csvs(tmp_path / f"want{k}", {"design_grid": rows})
+        columns = {name: [row[name] for row in rows] for name in rows[0]}
+        (want,) = cli._write_csvs(tmp_path / f"want{k}", {"design_grid": columns})
         assert (tmp_path / str(k) / "design_grid.csv").read_bytes() == want.read_bytes(), spec
         ic_at_d_star.add(design.report_at(spec, max_irrelevant_param(spec)).is_ic)
     assert ic_at_d_star == {True, False}
