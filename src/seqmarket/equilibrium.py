@@ -142,7 +142,7 @@ def _power(x, n):
     of exponents goes through; entries with ``n == 2`` keep the square so
     batched and one-market results agree.
     """
-    if isinstance(n, int) or not np.any(n == 2):
+    if isinstance(n, int) or not (n == 2).any():
         return x**n
     return np.where(n == 2, x * x, x**n)
 
@@ -327,6 +327,8 @@ _CHAIN_TOL = 1e-12
 # which 1 - r, 1 - psi or a product is too close to 0 for that margin.
 _MARGIN = 1e-6
 _NEAR_ONE = 1e-7
+# The right-end acceptance mass that clears a run whose left end is r == 1.
+_EXACT_END_CLEAR = 2 * _NEAR_ONE * DEFAULT_MIXING_GRID
 _THIN_PSI = 1e-8
 _TINY = 1e-290
 
@@ -365,6 +367,16 @@ def _root_free(c: float, p_L, p_H, lo, hi):
     throughout) and has ``1 - r < 1e-7`` at the left end, when ``1 - psi``
     may fall below 1e-8, or when a product of the gap that is not exactly
     zero may come near underflow.
+
+    One such term is exempt: an exact ``r == 1`` at the left end, as at the
+    top cutoff's ``alpha = 0``.  There ``geometric_sum`` returns ``n``
+    exactly, so that end has no error at all.  The float acceptance mass
+    ``1 - r`` then rises from 0 linearly in alpha, to within 2**-53, and a
+    run spans at most ``DEFAULT_MIXING_GRID`` cells; so if the right end's
+    acceptance mass is at least ``2 * _NEAR_ONE * DEFAULT_MIXING_GRID``,
+    every other grid point of the run has ``1 - r`` above ``_NEAR_ONE``.
+    The guard fires only for a left end that is tiny but not exactly 0, or
+    for a right end below that threshold.
     """
     num_a, den_a, _, accept_H_a, accept_L_a = lo
     num_b, den_b, _, accept_H_b, accept_L_b = hi
@@ -373,9 +385,9 @@ def _root_free(c: float, p_L, p_H, lo, hi):
     normal = ((p_H == 0.0) | (c == 1.0) | (num_b * A >= _TINY * scale)) & (
         (p_L == 0.0) | (c == 0.0) | (den_b * B >= _TINY * scale)
     )
-    near_one = ((accept_H_b != 0.0) & (accept_H_a < _NEAR_ONE)) | (
-        (accept_L_b != 0.0) & (accept_L_a < _NEAR_ONE)
-    )
+    # Per term, from its acceptance masses at the left and the right end.
+    near = lambda a, b: (b != 0.0) & (a < _NEAR_ONE) & ((a != 0.0) | (b < _EXACT_END_CLEAR))
+    near_one = near(accept_H_a, accept_H_b) | near(accept_L_a, accept_L_b)
     thin = den_b < _THIN_PSI * (num_a + den_b)
     above = num_b * A * (1.0 - _MARGIN) > den_a * B * (1.0 + _MARGIN)
     below = num_a * A * (1.0 + _MARGIN) < den_b * B * (1.0 - _MARGIN)

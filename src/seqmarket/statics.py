@@ -19,7 +19,6 @@ from .equilibrium import (
     _irrelevance_display,
     benchmarks,
     chain_index,
-    enumerate_chains,
     # Unused here since the sweeps batch their markets, but kept importable
     # from statics: perfbench's tracer test checks that statics binds it.
     enumerate_equilibria,
@@ -88,11 +87,15 @@ def surplus_vs_n(spec: MarketSpec, n_max: int) -> NSweepResult:
 
     The cutover index is the smallest ``n`` from which the most-selective
     series is monotone in the direction the limit class implies; it is
-    reported from the computed series, never assumed.
+    reported from the computed series, never assumed.  Every size is solved
+    in one ``solve_chains`` batch from the experiment's one mass array.
     """
     if n_max < 1:
         raise ValueError(f"n_max={n_max} must be at least 1")
-    chains = enumerate_chains([spec.with_n(n) for n in range(1, n_max + 1)])
+    shape = (n_max, spec.experiment.m)
+    p_L = np.broadcast_to(spec.experiment.p_L_array(), shape)
+    p_H = np.broadcast_to(spec.experiment.p_H_array(), shape)
+    chains = solve_chains(spec.rho, spec.c, p_L, p_H, np.arange(1, n_max + 1))
     records = [
         NSweepPoint(n, chain[0].surplus, chain[-1].surplus) for n, chain in enumerate(chains, 1)
     ]

@@ -360,6 +360,17 @@ PINNED_BATCHES = [
         (0.4066351196001362, 0.45637778863886086, 9e-323, 2.5e-323, 10),
     ),
 ]
+# The right-end acceptance mass at which a cell whose left end has r == 1
+# exactly leaves the near-one guard.  Top-cutoff pairs (tail 0.0, or 1e-17,
+# which 1 - tail also rounds to 1) have r == 1 at alpha = 0; their cutoff
+# masses put the first cell's right end just below and just above it at
+# spacing 256 (alpha = 1/4) and at spacing 32 (alpha = 1/32).
+EXACT_END_CLEAR = 2 * 1e-7 * DEFAULT_MIXING_GRID
+TOP_MASSES = [k * EXACT_END_CLEAR * (1.0 + e) for k in (4, 32) for e in (-1e-9, 1e-9)]
+PINNED_BATCHES += [
+    _batch(0.5, 0.3, *((tail, tail, 0.0, p, 2) for tail in (0.0, 1e-17) for p in TOP_MASSES)),
+    _batch(0.5, 0.3, *((tail, tail, p, 0.5, 10) for tail in (0.0, 1e-17) for p in TOP_MASSES)),
+]
 
 
 def _pinned(test):
@@ -391,6 +402,10 @@ ROOT_FREE_HI = (0.9, 0.9, 0.27, 0.6, 0.6)
         (0.2, {1: 1e-9}, {1: 5e-10}, False),  # 1 - psi below 1e-8
         (1e-295, {}, {}, False),  # (1 - psi) p_L c near underflow
         (0.0, {}, {}, True),  # ... but exactly 0
+        (0.2, {3: 0.0}, {3: EXACT_END_CLEAR}, True),  # r_H == 1 only at the left end
+        (0.2, {3: 0.0}, {3: np.nextafter(EXACT_END_CLEAR, 0.0)}, False),  # ... and not cleared
+        (0.2, {4: 0.0}, {4: EXACT_END_CLEAR}, True),  # r_L == 1 only at the left end
+        (0.2, {4: 0.0}, {4: np.nextafter(EXACT_END_CLEAR, 0.0)}, False),  # ... and not cleared
     ],
 )
 def test_root_free_guards(p_L, lo, hi, discarded):
@@ -437,17 +452,36 @@ def test_scan_spacing_grows_with_the_batch_and_is_capped():
     assert set(spacings) == set(SPACINGS)
 
 
+def _size_sweep_batch(seed: int, m: int) -> tuple:
+    """The (market, cutoff) pairs of a seeded market's n = 1..200 sweep."""
+    rho, c, exp = _seeded_market(seed, m)
+    p_L, p_H = exp.p_L_array(), exp.p_H_array()
+    tails = lambda p: [p[j + 1 :].sum() for j in range(m)]
+    sizes = np.arange(1, 201)
+    return (
+        rho, c, np.tile(tails(p_L), sizes.size), np.tile(tails(p_H), sizes.size),
+        np.tile(p_L, sizes.size), np.tile(p_H, sizes.size), np.repeat(sizes, m),
+    )
+
+
 @pytest.mark.parametrize("m", sorted(SWEEP_SEEDS))
 def test_scan_hits_on_a_whole_size_sweep(m):
     """The pairs of a seeded market's n = 1..200 sweep (400 or more), at the
     spacing the kernel picks for them: the rule's wide end on real markets."""
-    rho, c, exp = _seeded_market(SWEEP_SEEDS[m], m)
-    p_L, p_H = exp.p_L_array(), exp.p_H_array()
-    tails = lambda p: [p[j + 1 :].sum() for j in range(m)]
-    sizes = np.arange(1, 201)
-    batch = (
-        rho, c, np.tile(tails(p_L), sizes.size), np.tile(tails(p_H), sizes.size),
-        np.tile(p_L, sizes.size), np.tile(p_H, sizes.size), np.repeat(sizes, m),
-    )
-    assert _scan_spacing(m * sizes.size) >= 128
-    _assert_same_hits(batch, _scan_spacing(m * sizes.size))
+    batch = _size_sweep_batch(SWEEP_SEEDS[m], m)
+    assert _scan_spacing(m * 200) >= 128
+    _assert_same_hits(batch, _scan_spacing(m * 200))
+
+
+def test_a_root_free_size_sweep_is_barely_refined(monkeypatch):
+    """A seeded five-outcome market without a mixing root at any of
+    n = 1..200.  Each top cutoff's first cell has r == 1 exactly at its left
+    end; its right end clears the near-one guard, so the cell is discarded
+    instead of being halved down to one grid cell (nine ``_mixing_points``
+    calls in all).  The scan makes at most two."""
+    calls = []
+    real_points = equilibrium._mixing_points
+    monkeypatch.setattr(equilibrium, "_mixing_points", lambda *args: calls.append(1) or real_points(*args))
+    batch = _size_sweep_batch(1, 5)
+    assert _assert_same_hits(batch, _scan_spacing(5 * 200))[0].size == 0
+    assert len(calls) <= 2

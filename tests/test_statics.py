@@ -66,7 +66,7 @@ class TestSurplusVsN:
     def test_cutover_is_the_start_of_the_longest_monotone_tail(self, monkeypatch):
         series = [0.1, 0.3, 0.2, 0.25, 0.26, 0.26, 0.27]
         fake = [(SimpleNamespace(surplus=s),) for s in series]
-        monkeypatch.setattr(statics, "enumerate_chains", lambda specs: fake[: len(specs)])
+        monkeypatch.setattr(statics, "solve_chains", lambda rho, c, p_L, p_H, n: fake[: len(n)])
         # Full-information limit: the series must be weakly increasing.
         assert surplus_vs_n(revealing_market(), 7).eventual_monotone_from == 3
         assert surplus_vs_n(revealing_market(), 2).eventual_monotone_from == 1
