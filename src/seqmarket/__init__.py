@@ -35,11 +35,8 @@ from .design import (
     MonotoneBinaryGarbling,
     garbling_from_param,
     ic_intervals,
-    irrelevance_margin,
     is_ic,
-    is_irrelevant,
     max_irrelevant_param,
-    obeyed_surplus,
     optimal_garbling,
 )
 from .montecarlo import SimConfig, SimEstimate, simulate

@@ -29,8 +29,8 @@ experiment's likelihood-ratio frontier.  Raising ``a_H`` at fixed ``a_L``
 So moving a rule to the frontier keeps it IC and weakly raises its obeyed
 surplus, and the best IC monotone garbling is the best IC rule.
 
-``grid_diagnostics`` evaluates garblings, vectorised over ``D``: the grid,
-the reports and the one-garbling predicates read its columns.  The searches
+``grid_diagnostics`` evaluates garblings, vectorised over ``D``: the grid
+and the reports (``report_at`` at one ``D``) read its columns.  The searches
 evaluate only the piece they test, the IC test or the finite irrelevance
 margin, which ``grid_diagnostics`` composes, so each formula has one copy.
 """
@@ -51,7 +51,7 @@ from .equilibrium import (
     interim_from_rejections,
     surplus_from_rejections,
 )
-from .experiment import FiniteExperiment, build_experiment
+from .experiment import FiniteExperiment
 
 IC_REFINE_TOL = 1e-12
 # Scan points per unit segment of D in ic_intervals, before its boundaries
@@ -80,12 +80,6 @@ class MonotoneBinaryGarbling:
     @property
     def threshold_label(self) -> float:
         return self.base.outcomes[self.threshold_index].label
-
-    def coarse_experiment(self) -> FiniteExperiment:
-        """The induced two-outcome experiment (degenerate columns dropped)."""
-        return build_experiment(
-            [(self.reject_L, self.reject_H), (self.accept_L, self.accept_H)]
-        )
 
 
 def _accept_weights(m: int, d) -> np.ndarray:
@@ -261,35 +255,9 @@ def report_at(spec: MarketSpec, d: float) -> GarblingReport:
     return _reports(spec, grid_diagnostics(spec, [d]))[0]
 
 
-def _row(spec: MarketSpec, g: MonotoneBinaryGarbling) -> dict[str, np.ndarray]:
-    return grid_diagnostics(spec.with_experiment(g.base), [g.D])
-
-
-def obeyed_surplus(spec: MarketSpec, g: MonotoneBinaryGarbling) -> float:
-    """Total surplus when every buyer follows the recommendations."""
-    return float(_row(spec, g)["obeyed_surplus"][0])
-
-
 def is_ic(spec: MarketSpec, g: MonotoneBinaryGarbling) -> bool:
     """Whether obeying the recommendations is an equilibrium of the induced game."""
-    return bool(_row(spec, g)["is_ic"][0])
-
-
-def irrelevance_margin(spec: MarketSpec, g: MonotoneBinaryGarbling) -> float:
-    """Signed irrelevance margin ``F``; +inf when nothing is ever rejected."""
-    return float(_row(spec, g)["margin"][0])
-
-
-def is_irrelevant(spec: MarketSpec, g: MonotoneBinaryGarbling) -> bool:
-    """Adverse-selection irrelevance of a garbling.
-
-    Holds if the margin is nonnegative, if the garbling never recommends an
-    acceptance, or if it never recommends a rejection and even the worst
-    possible signal profile leaves trade weakly profitable.  The last clause
-    can disagree with the +inf margin convention; both readings are exposed
-    so reports can show the disagreement rather than hide it.
-    """
-    return bool(_row(spec, g)["is_irrelevant"][0])
+    return bool(grid_diagnostics(spec.with_experiment(g.base), [g.D])["is_ic"][0])
 
 
 def max_irrelevant_param(spec: MarketSpec) -> float:

@@ -59,7 +59,7 @@ def _require_interior_prior(rho: float) -> None:
         raise DegeneratePrior(f"equilibrium routines need rho in (0, 1), got {rho}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Strategy:
     """Per-outcome acceptance probabilities, indexed in likelihood-ratio order."""
 
@@ -97,7 +97,7 @@ class Benchmarks:
     no_info: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Equilibrium:
     strategy: Strategy
     interim: float
@@ -106,25 +106,6 @@ class Equilibrium:
     surplus: float
     cutoff_index: int  # first outcome accepted with positive probability; m if none
     mixing_prob: float  # acceptance probability at the cutoff outcome (0.0 if none)
-
-
-def _checked_equilibrium(strategy, interim, r_L, r_H, surplus, cutoff_index, mixing_prob) -> Equilibrium:
-    """An Equilibrium built without calling the frozen ``__init__``: the
-    same ``object.__setattr__`` per field, in field order, without the call
-    and the per-field lookups of ``__init__`` (about 0.27 us of 1.36 us per
-    record with its Strategy).  Equality, hashing, ``repr`` and immutability
-    are the class's own.  Filling ``__dict__`` directly instead would be as
-    fast, but would give each record a dict of its own: 576 bytes with its
-    Strategy instead of 224."""
-    record, put = object.__new__(Equilibrium), object.__setattr__
-    put(record, "strategy", strategy)
-    put(record, "interim", interim)
-    put(record, "r_L", r_L)
-    put(record, "r_H", r_H)
-    put(record, "surplus", surplus)
-    put(record, "cutoff_index", cutoff_index)
-    put(record, "mixing_prob", mixing_prob)
-    return record
 
 
 def _check_length(spec: MarketSpec, strategy: Strategy) -> None:
@@ -489,9 +470,9 @@ def _solve_chains(rho: float, c: float, p_L: np.ndarray, p_H: np.ndarray, n: np.
     The brackets are bisected together, one ``_mixing_points`` call per
     step: each bracket's masses are gathered once, the moving brackets are
     carried as compact arrays, and those arrays shrink only on a step where
-    some bracket stops.  The records' range is checked once per batch, and
-    each ``Equilibrium`` and its ``Strategy`` are built without their
-    frozen ``__init__`` (``_checked_equilibrium``, ``_checked_strategy``).
+    some bracket stops.  The records' range is checked once per batch, so
+    each record's ``Strategy`` skips its per-entry check
+    (``_checked_strategy``).
 
     The arithmetic is elementwise and in the same order as a one-market
     evaluation, so a market's records do not depend on the batch around it.
@@ -583,7 +564,7 @@ def _solve_chains(rho: float, c: float, p_L: np.ndarray, p_H: np.ndarray, n: np.
         surplus.tolist(), cut.tolist(), mix.tolist(),
     )
     for b, acc, interim, rl, rh, s, j, a in records:
-        chains[b].append(_checked_equilibrium(_checked_strategy(tuple(acc)), interim, rl, rh, s, j, a))
+        chains[b].append(Equilibrium(_checked_strategy(tuple(acc)), interim, rl, rh, s, j, a))
     not_chain = set(row[1:][broken].tolist())
     out: list = []
     for b, chain in enumerate(chains):

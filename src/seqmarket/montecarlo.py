@@ -46,9 +46,8 @@ are stored by block number; once every worker is joined, the caller adds
 them in block order, so every estimate, the float surplus sums included, is
 the same for any number of workers.  ``workers`` is the number of CPUs in
 the caller's affinity mask, at most the number of blocks and at most
-``MAX_WORKERS``.  For the call, worker ``w`` is pinned to the ``w``-th CPU
-of that mask, and the caller gets its mask back before ``simulate``
-returns.  The other workers are threads started once per call.  A block
+``MAX_WORKERS``; the scheduler places the threads, and no thread's mask
+is changed.  The other workers are threads started once per call.  A block
 that raises stops every worker before its next block, and the caller
 raises the error of the lowest-numbered failing block; an interrupt in the
 caller's own blocks stops them too.  No thread outlives the call.
@@ -70,7 +69,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 
@@ -136,13 +134,6 @@ def _binomial_se(successes: float, count: float) -> float:
 def _affinity() -> set[int] | None:
     """The calling thread's CPU affinity mask, None where the OS has none."""
     return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
-
-
-def _pin(cpus: set[int] | None) -> None:
-    """Keep the calling thread on ``cpus``, as far as the OS allows."""
-    if cpus is not None:
-        with suppress(OSError):
-            os.sched_setaffinity(0, cpus)
 
 
 def _worker_count() -> int:
@@ -301,14 +292,8 @@ def simulate(spec: MarketSpec, strategy: Strategy, config: SimConfig) -> SimEsti
     results = np.empty((blocks, 7))
     errors: dict[int, Exception] = {}
     failed = threading.Event()
-    # Worker w, the caller included, is pinned to the w-th CPU of the mask
-    # for the call.  Left to itself, a virtualised scheduler can keep two
-    # workers on one vCPU while the other idles.
-    mask = _affinity() if workers > 1 else None
-    cpus = [{cpu} for cpu in sorted(mask)] if mask else [None]
 
     def work(w: int) -> None:
-        _pin(cpus[w % len(cpus)])
         for block in range(w, blocks, workers):
             if failed.is_set():
                 return
@@ -332,7 +317,6 @@ def simulate(spec: MarketSpec, strategy: Strategy, config: SimConfig) -> SimEsti
     finally:
         for thread in threads:
             thread.join()
-        _pin(mask)
         del buffers
     if errors:
         raise errors[min(errors)]

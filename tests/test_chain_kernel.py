@@ -11,6 +11,8 @@ grid point.
 
 from __future__ import annotations
 
+import copy
+import pickle
 from dataclasses import FrozenInstanceError, asdict, fields, replace
 
 import numpy as np
@@ -216,10 +218,11 @@ def test_records_hold_python_floats_in_the_unit_interval():
 
 
 def test_records_behave_like_constructed_ones():
-    """The kernel fills each record's ``__dict__`` instead of calling the
-    frozen ``__init__``.  Every record, and its ``Strategy``, must still
-    equal, hash, print, convert and refuse assignment as one built through
-    ``__init__`` from the same fields."""
+    """The kernel builds each record's ``Strategy`` without its per-entry
+    check (``_checked_strategy``).  Every record, and its ``Strategy``, must
+    still equal, hash, print, convert, pickle, copy and refuse assignment as
+    one built through ``__init__`` from the same fields, and keep its fields
+    in slots, with no ``__dict__``."""
     rho, c, exp = _seeded_market(SWEEP_SEEDS[5], 5)
     specs = [demo_market(2), tight_market(7), revealing_market(5), MarketSpec(rho, c, 12, exp)]
     for chain in enumerate_chains(specs):
@@ -228,7 +231,10 @@ def test_records_behave_like_constructed_ones():
             built = Equilibrium(**{f.name: getattr(eq, f.name) for f in fields(Equilibrium)} | {"strategy": strategy})
             for got, want in ((eq.strategy, strategy), (eq, built)):
                 assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
-                assert list(vars(got)) == list(vars(want)) == [f.name for f in fields(got)]
+                assert not hasattr(got, "__dict__")
+                assert type(got).__slots__ == tuple(f.name for f in fields(got))
+                assert pickle.loads(pickle.dumps(got)) == want
+                assert copy.deepcopy(got) == want
                 assert asdict(got) == asdict(want)
                 first = fields(got)[0].name
                 assert replace(got, **{first: getattr(want, first)}) == want

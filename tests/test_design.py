@@ -16,12 +16,10 @@ from seqmarket.design import (
     garbling_grid,
     grid_diagnostics,
     ic_intervals,
-    irrelevance_margin,
     is_ic,
-    is_irrelevant,
     max_irrelevant_param,
-    obeyed_surplus,
     optimal_garbling,
+    report_at,
 )
 from seqmarket.equilibrium import (
     INDIFFERENCE_TOL,
@@ -32,7 +30,7 @@ from seqmarket.equilibrium import (
     surplus_from_rejections,
 )
 from seqmarket.errors import ParamOutOfRange
-from seqmarket.experiment import is_garbling_of
+from seqmarket.experiment import build_experiment, is_garbling_of
 from seqmarket.scenarios import demo_market, revealing_market, tight_market
 
 
@@ -66,7 +64,7 @@ class TestGarblingFromParam:
         g = garbling_from_param(demo_market().experiment, 1.0)
         assert g.accept_weights == (0.0, 1.0)
         assert (g.reject_L, g.reject_H) == pytest.approx((0.8, 0.2))
-        coarse = g.coarse_experiment()
+        coarse = build_experiment([(g.reject_L, g.reject_H), (g.accept_L, g.accept_H)])
         assert coarse.labels == pytest.approx((0.2, 0.8), abs=1e-12)
 
     def test_zero_weight_recommends_nothing(self):
@@ -124,9 +122,8 @@ class TestIrrelevanceMargin:
         # reservation odds.
         spec = tight_market()
         for d in (0.1, 0.5, 0.862, 1.0):
-            g = garbling_from_param(spec.experiment, d)
             expected = 4.0 * (1.0 - 0.8 * d) / (1.0 - 0.2 * d) - 1.5
-            assert irrelevance_margin(spec, g) == pytest.approx(expected, abs=1e-12)
+            assert report_at(spec, d).irrelevance_margin == pytest.approx(expected, abs=1e-12)
 
     def test_tight_market_margin_root(self):
         spec = tight_market()
@@ -139,28 +136,26 @@ class TestIrrelevanceMargin:
 
     def test_boundary_margin_is_adjacent_segment_limit(self):
         spec = demo_market()
-        at_zero = irrelevance_margin(spec, garbling_from_param(spec.experiment, 0.0))
-        just_above = irrelevance_margin(spec, garbling_from_param(spec.experiment, 1e-9))
+        at_zero = report_at(spec, 0.0).irrelevance_margin
+        just_above = report_at(spec, 1e-9).irrelevance_margin
         assert at_zero == pytest.approx(just_above, abs=1e-6)
 
     def test_no_acceptance_garbling_is_irrelevant(self):
         spec = tight_market()
-        g = garbling_from_param(spec.experiment, 0.0)
-        assert is_irrelevant(spec, g)
+        assert report_at(spec, 0.0).is_irrelevant
 
     def test_margin_and_predicate_disagree_at_full_acceptance(self):
         # The margin degenerates to +inf with no rejection mass while the
         # predicate still demands the worst-case profitability clause; both
         # readings are reported side by side.
         spec = tight_market()
-        g = garbling_from_param(spec.experiment, 2.0)
-        assert math.isinf(irrelevance_margin(spec, g))
-        assert not is_irrelevant(spec, g)
+        report = report_at(spec, 2.0)
+        assert math.isinf(report.irrelevance_margin)
+        assert not report.is_irrelevant
 
     def test_full_acceptance_irrelevant_when_worst_case_profitable(self):
         spec = MarketSpec(0.9, 0.05, 2, demo_market().experiment)
-        g = garbling_from_param(spec.experiment, 2.0)
-        assert is_irrelevant(spec, g)
+        assert report_at(spec, 2.0).is_irrelevant
 
 
 class TestOptimalGarbling:
@@ -214,7 +209,8 @@ class TestStructuralInvariants:
             spec = random_market(rng, m_choices=(2, 3, 4))
             for d in rng.uniform(0.05, spec.experiment.m - 0.05, size=3):
                 g = garbling_from_param(spec.experiment, float(d))
-                assert is_garbling_of(g.coarse_experiment(), spec.experiment)
+                coarse = build_experiment([(g.reject_L, g.reject_H), (g.accept_L, g.accept_H)])
+                assert is_garbling_of(coarse, spec.experiment)
 
     def test_rejection_masses_decrease_in_the_parameter(self):
         spec = tight_market(4)
@@ -243,9 +239,10 @@ class TestStructuralInvariants:
     def test_grid_reports_match_pointwise_reports(self):
         """Every key of a 401-point ``grid_diagnostics`` call is, row by row,
         ``==`` what a one-point call gives: the row independence that the
-        batched bisections rely on.  The grid, the one-garbling predicates
-        and the two pieces the searches evaluate alone (the IC test and the
-        finite margin), on the grid and at one point, read the same rows."""
+        batched bisections rely on.  The grid, the one-point reports
+        (``report_at``) and the two pieces the searches evaluate alone (the
+        IC test and the finite margin), on the grid and at one point, read
+        the same rows."""
         rng = np.random.default_rng(31)
         seeded = [random_market(rng, m_choices=(m,), n_range=(2, 50)) for m in (2, 3, 4, 5)]
         for spec in _golden_markets() + seeded:
@@ -269,7 +266,7 @@ class TestStructuralInvariants:
             margins = [design._finite_margin(spec, [d], x)[1][0] for d, x in zip(grid, one_point)]
             np.testing.assert_array_equal(margins, diag["finite_margin"])
             for d, surplus in zip(grid, columns["obeyed_surplus"]):
-                assert obeyed_surplus(spec, garbling_from_param(exp, float(d))) == surplus
+                assert report_at(spec, float(d)).obeyed_surplus == surplus
 
 
 class TestLargeMarkets:

@@ -283,8 +283,8 @@ def test_wide_markets_equal_the_reference(name, focal):
 
 class TestScheduling:
     """Blocks run on the caller and worker threads; the estimates do not
-    depend on how many, no thread outlives the call, and the caller gets
-    its CPU affinity back."""
+    depend on how many, no thread outlives the call, and the caller's CPU
+    affinity is left as it was."""
 
     def test_many_blocks_on_more_workers_than_cpus(self, monkeypatch):
         """Ten blocks on four workers (more than the CPUs of a small
