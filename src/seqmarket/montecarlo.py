@@ -52,16 +52,22 @@ that raises stops every worker before its next block, and the caller
 raises the error of the lowest-numbered failing block; an interrupt in the
 caller's own blocks stops them too.  No thread outlives the call.
 
-*Memory.*  Each block draws into one ``BLOCK_TRIALS x n`` float buffer, and
-every draw overwrites it: the signal uniforms become one boolean mask per
-chain step before the tie-breakers are drawn, and the visit-order keys are
-drawn once the accept decisions are formed.  ``simulate`` allocates the
-``workers`` buffers in one array and frees it before it returns, so at most
-``MAX_WORKERS`` float arrays of a block are alive.  A block that reads no
-``trials x n`` array (nobody accepts, or everybody does and there is no
-focal buyer) never writes to its buffer, so the buffer's pages are never
-made resident.  The per-block results take 7 floats, 56 bytes, per block:
-3.5 KB for a million trials.
+*Memory.*  A block reads each ``trials x n`` array a chunk of rows at a
+time into one float buffer, and every read overwrites it.  A chunk holds
+at most ``CHUNK_CELLS`` cells (1 MiB of floats), or one row when a row is
+longer.  A chunk reads the next words of the block's stream, so the
+chunking moves no draw.  Each chunk of signal uniforms becomes its boolean
+masks, one per chain step, at once, before the tie-breakers are read.  The
+masks cover the whole block, 1 byte per buyer per trial each, and once a
+chunk's decisions are formed the first mask holds them for the focal check.
+So a worker holds one float chunk and a mask per chain step (one mask for
+the decisions alone when a mixing strategy has no step but a focal buyer):
+1.9 MB at n = 50 with one step, where a block's float array took 6.6 MB.
+The masks still grow with n.  ``simulate`` allocates every worker's chunk
+and masks before the first block, so a config whose memory cannot be
+allocated fails at once, and frees them before it returns; when no block
+reads a ``trials x n`` array, it allocates neither.  The per-block results
+take 7 floats, 56 bytes, per block: 3.5 KB for a million trials.
 """
 
 from __future__ import annotations
@@ -81,9 +87,12 @@ from .errors import NoFocalBuyer
 from .equilibrium import MarketSpec, Strategy, _check_length
 
 BLOCK_TRIALS = 1 << 14
-# With three workers the draw buffers take no more memory than the three
-# block arrays (signal, tie-break and visit-order uniforms) one block used
-# to hold.
+# The most cells of a block's ``trials x n`` arrays read at a time: 1 MiB
+# of floats, which stays in cache.  Markets with n <= 8 read each array in
+# one chunk.
+CHUNK_CELLS = 8 * BLOCK_TRIALS
+# Each worker holds one float chunk and one block's masks, so the cap also
+# bounds ``simulate``'s memory at three of each.
 MAX_WORKERS = 3
 
 
@@ -160,15 +169,21 @@ def _skip(rng: Generator, drawn: int, words: int) -> None:
         bits.random_raw(tail % 4)
 
 
-def _any_rows(mask: np.ndarray) -> np.ndarray:
-    """``mask.any(axis=1)`` for a 2-d bool array, several times faster for a
-    few columns: byte sums over runs of at most 255 columns, which a
-    ``uint8`` sum holds without wrapping."""
+def _chunk_rows(n: int) -> int:
+    """The trials one chunk of a block's ``trials x n`` arrays holds, at
+    least one."""
+    return max(1, CHUNK_CELLS // n)
+
+
+def _any_rows(mask: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``mask.any(axis=1, out=out)`` for a 2-d bool array, several times
+    faster for a few columns: byte sums over runs of at most 255 columns,
+    which a ``uint8`` sum holds without wrapping."""
     cells = mask.view(np.uint8)
     hits = np.einsum("ij->i", cells[:, :255])
     for start in range(255, mask.shape[1], 255):
         hits |= np.einsum("ij->i", cells[:, start : start + 255])
-    return hits != 0
+    return np.not_equal(hits, 0, out=out)
 
 
 def _block_sums(
@@ -181,13 +196,17 @@ def _block_sums(
     seed: int,
     trials: int,
     block: int,
-    buf: np.ndarray,
+    chunk: np.ndarray,
+    masks: np.ndarray,
 ) -> tuple:
-    """Draw block ``block`` of ``trials`` into the leading rows of ``buf``
-    (one row per trial, one column per buyer) and return its counts and
-    sums: High trials, trades in each state, the surplus and its square,
-    and visits of the focal buyer, all and in the High state.  Only the
-    arrays the decisions read are drawn; the others are skipped."""
+    """Draw block ``block`` of ``trials`` and return its counts and sums:
+    High trials, trades in each state, the surplus and its square, and
+    visits of the focal buyer, all and in the High state.  Only the arrays
+    the decisions read are drawn; the others are skipped.  Each array is
+    read into ``chunk`` a chunk of rows at a time (one row per trial, one
+    column per buyer).  ``masks`` holds, for every trial of the block, one
+    signal mask per chain step, and after them the accept decisions in the
+    first mask."""
     size = min(BLOCK_TRIALS, trials - block * BLOCK_TRIALS)
     rng = _block_rng(seed, block)
     theta_high = rng.random(size) < spec.rho
@@ -199,36 +218,47 @@ def _block_sums(
     # Indexes the columns (Low, High) of per-state values; a gather reads
     # the same floats as ``np.where`` on the mask, in a fraction of the time.
     state = theta_high.view(np.uint8)
-    buf = buf[:size]
-    cells = buf.size
+    spans = [(start, min(start + len(chunk), size)) for start in range(0, size, len(chunk))]
+    cells = size * spec.n
     drawn = size  # words of the stream handed out so far, read or skipped
-    below = []
+    below = masks[:, :size]
+    # The accept decisions, kept for the focal check; None when everybody
+    # accepts.
+    accepts = below[0] if len(below) else None
+    # Filled chunk by chunk, unless every sigma is 1 and everybody trades.
+    trade = np.empty(size, dtype=bool) if steps or mixing else np.ones(size, dtype=bool)
     if steps:
-        sig_u = rng.random(out=buf)
+        for a, b in spans:
+            sig_u = rng.random(out=chunk[: b - a])
+            for j, below_j in zip(steps, below):
+                np.less_equal(sig_u, cum[j].take(state[a:b])[:, None], out=below_j[a:b])
+            if not mixing:
+                # A pure strategy decides without tie-breakers, and each
+                # step flips the decision.  The masks are nested, so a
+                # buyer's decision is the top outcome's flipped once per
+                # mask that holds.
+                decided = below[0, a:b]
+                for below_j in below[1:]:
+                    decided ^= below_j[a:b]
+                if sigma[-1]:
+                    np.logical_not(decided, out=decided)
+                _any_rows(decided, trade[a:b])
         drawn += cells
-        below = [sig_u <= cum[j].take(state)[:, None] for j in steps]
     if mixing:
         _skip(rng, drawn, size + cells - drawn)
-        tie_u = rng.random(out=buf)
+        for a, b in spans:
+            tie_u = rng.random(out=chunk[: b - a])
+            # The threshold chain on accept decisions; the xor form of
+            # ``where(below, tie_u < sigma[j], decided)`` runs without
+            # branches.
+            decided = tie_u < sigma[-1]
+            for j, below_j in zip(steps, below):
+                decided ^= ((tie_u < sigma[j]) ^ decided) & below_j[a:b]
+            _any_rows(decided, trade[a:b])
+            if focal is not None:
+                accepts[a:b] = decided
         drawn = size + 2 * cells
-        # The threshold chain on accept decisions; the xor form of
-        # ``where(below, tie_u < sigma[j], accepts)`` runs without branches.
-        accepts = tie_u < sigma[-1]
-        for j, below_j in zip(steps, below):
-            accepts ^= ((tie_u < sigma[j]) ^ accepts) & below_j
-    elif steps:
-        # A pure strategy decides without tie-breakers, and each step flips
-        # the decision.  The masks are nested, so a buyer's decision is the
-        # top outcome's flipped once per mask that holds.
-        accepts = below[0]
-        for below_j in below[1:]:
-            accepts ^= below_j
-        if sigma[-1]:
-            np.logical_not(accepts, out=accepts)
-    else:
-        accepts = None  # everybody accepts
 
-    trade = np.ones(size, dtype=bool) if accepts is None else _any_rows(accepts)
     gain = np.array([-spec.c, 1.0 - spec.c]).take(state) * trade
     sums = (
         n_high,
@@ -240,12 +270,16 @@ def _block_sums(
     if focal is None:
         return (*sums, 0, 0)
     _skip(rng, drawn, size + 2 * cells - drawn)
-    order_u = rng.random(out=buf)
-    earlier = order_u < order_u[:, focal : focal + 1]
-    if accepts is not None:
-        earlier &= accepts
-    reached = ~_any_rows(earlier)
-    return (*sums, np.count_nonzero(reached), np.count_nonzero(reached & theta_high))
+    visits = visits_high = 0
+    for a, b in spans:
+        order_u = rng.random(out=chunk[: b - a])
+        earlier = order_u < order_u[:, focal : focal + 1]
+        if accepts is not None:
+            earlier &= accepts[a:b]
+        reached = ~_any_rows(earlier)
+        visits += np.count_nonzero(reached)
+        visits_high += np.count_nonzero(reached & theta_high[a:b])
+    return (*sums, visits, visits_high)
 
 
 def simulate(spec: MarketSpec, strategy: Strategy, config: SimConfig) -> SimEstimate:
@@ -281,12 +315,17 @@ def simulate(spec: MarketSpec, strategy: Strategy, config: SimConfig) -> SimEsti
 
     # Allocated by the caller: buffers the workers allocated came from
     # per-thread malloc arenas, and the commands that ran after a
-    # simulation in the same process measured slower and larger.  Allocated
-    # also when the blocks draw nothing into them: untouched, the array
-    # takes no resident memory, and freeing it raises glibc's dynamic mmap
-    # threshold; without that, sweeps run later in the same process
-    # page-faulted on their temporaries and measured 7-13% slower.
-    buffers = np.empty((workers, min(BLOCK_TRIALS, trials), spec.n))
+    # simulation in the same process measured slower and larger.  The
+    # chunks are zero cells wide when no block reads into them (nobody
+    # accepts, or everybody does and there is no focal buyer).
+    reads = bool(sigma.any()) and (bool(steps) or mixing or focal is not None)
+    chunks = np.empty((workers, min(_chunk_rows(spec.n), BLOCK_TRIALS, trials), spec.n if reads else 0))
+    # One mask per chain step, or one for the accept decisions alone when
+    # only the focal check reads them.
+    masks = np.empty(
+        (workers, len(steps) or int(mixing and focal is not None), min(BLOCK_TRIALS, trials), spec.n),
+        dtype=bool,
+    )
     # One row of counts and sums per block; a count is at most
     # ``BLOCK_TRIALS``, so float64 holds it exactly.
     results = np.empty((blocks, 7))
@@ -298,7 +337,7 @@ def simulate(spec: MarketSpec, strategy: Strategy, config: SimConfig) -> SimEsti
             if failed.is_set():
                 return
             try:
-                results[block] = run(block, buffers[w])
+                results[block] = run(block, chunks[w], masks[w])
             except Exception as exc:
                 errors[block] = exc
                 failed.set()
@@ -317,7 +356,7 @@ def simulate(spec: MarketSpec, strategy: Strategy, config: SimConfig) -> SimEsti
     finally:
         for thread in threads:
             thread.join()
-        del buffers
+        del chunks, masks
     if errors:
         raise errors[min(errors)]
 

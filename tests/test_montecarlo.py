@@ -4,10 +4,12 @@ closed forms."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,6 +159,45 @@ for _seed in range(6):
     EQUIVALENCE_CASES[f"seeded_{_seed}"] = (_spec, tuple(float(a) for a in _draw), (0, _spec.n - 1))
 
 
+# Chunk budgets below the default, as (cells, trials per block): every block
+# of the cases below then reads its arrays in several chunks.  "one_row"
+# reads one row a chunk, on blocks of 128 trials (the reference's blocks
+# too) so that a run takes milliseconds, not seconds; "partial_last" leaves
+# a partial last chunk in a full block for every n of the cases.
+CHUNK_BUDGETS = {"one_row": (1, 128), "partial_last": (3600, montecarlo.BLOCK_TRIALS)}
+
+
+def _set_chunk_budget(monkeypatch, budget: str, n: int) -> None:
+    cells, block = CHUNK_BUDGETS[budget]
+    monkeypatch.setattr(montecarlo, "CHUNK_CELLS", cells)
+    for module in (montecarlo, reference_montecarlo):
+        monkeypatch.setattr(module, "BLOCK_TRIALS", block)
+    rows = montecarlo._chunk_rows(n)
+    assert rows == 1 if budget == "one_row" else 1 < rows < block and block % rows
+
+
+@functools.cache
+def _reference_fields(name: str, focal: int | None, block: int) -> tuple:
+    """The reference's estimate of a case on blocks of ``block`` trials,
+    which a case's chunked run shares with its unchunked one."""
+    spec, accept, _ = EQUIVALENCE_CASES[name]
+    config = SimConfig(trials=2 * block + 77, seed=len(name), focal_buyer=focal)
+    return _fields(reference_simulate(spec, Strategy(accept), config))
+
+
+def _assert_equal_to_the_reference(monkeypatch, name: str) -> None:
+    spec, accept, focals = EQUIVALENCE_CASES[name]
+    strategy = Strategy(accept)
+    # Two full blocks and a partial third, on one to three workers and on
+    # more workers than blocks.
+    for focal in (None, *focals):
+        config = SimConfig(trials=2 * montecarlo.BLOCK_TRIALS + 77, seed=len(name), focal_buyer=focal)
+        expected = _reference_fields(name, focal, reference_montecarlo.BLOCK_TRIALS)
+        for workers in (1, 2, 3, 4):
+            monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+            assert _fields(simulate(spec, strategy, config)) == expected, workers
+
+
 class TestReferenceKernel:
     """The block kernel reproduces the sorted-visit-order kernel exactly."""
 
@@ -166,16 +207,13 @@ class TestReferenceKernel:
 
     @pytest.mark.parametrize("name", sorted(EQUIVALENCE_CASES))
     def test_estimates_equal_the_reference(self, monkeypatch, name):
-        spec, accept, focals = EQUIVALENCE_CASES[name]
-        strategy = Strategy(accept)
-        # Two full blocks and a partial third, on one to three workers and on
-        # more workers than blocks.
-        for focal in (None, *focals):
-            config = SimConfig(trials=2 * montecarlo.BLOCK_TRIALS + 77, seed=len(name), focal_buyer=focal)
-            expected = _fields(reference_simulate(spec, strategy, config))
-            for workers in (1, 2, 3, 4):
-                monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
-                assert _fields(simulate(spec, strategy, config)) == expected, workers
+        _assert_equal_to_the_reference(monkeypatch, name)
+
+    @pytest.mark.parametrize("budget", sorted(CHUNK_BUDGETS))
+    @pytest.mark.parametrize("name", sorted(EQUIVALENCE_CASES))
+    def test_estimates_equal_the_reference_in_chunks(self, monkeypatch, name, budget):
+        _set_chunk_budget(monkeypatch, budget, EQUIVALENCE_CASES[name][0].n)
+        _assert_equal_to_the_reference(monkeypatch, name)
 
     @pytest.mark.parametrize("other_key, reached", [(0.5, True), (0.25, False)])
     def test_visit_order_tie_counts_the_other_buyer_after(self, monkeypatch, other_key, reached):
@@ -243,21 +281,31 @@ class TestSkippedDraws:
     def test_words_read_per_block(self, monkeypatch, accept, focal, arrays):
         """Counts the words each block reads: the ``size`` qualities and
         ``arrays`` arrays of ``size x n``."""
-        real, read = montecarlo._block_rng, {}
+        _assert_words_read(monkeypatch, demo_market(3), accept, focal, arrays)
 
-        def block_rng(seed, block):
-            read[block] = _Counting(real(seed, block))
-            return read[block]
+    def test_words_read_per_block_in_chunks(self, monkeypatch):
+        """At n = 20 a chunk holds 6553 trials, so a full block reads each
+        of its three arrays in three chunks."""
+        assert 2 * montecarlo._chunk_rows(20) < montecarlo.BLOCK_TRIALS < 3 * montecarlo._chunk_rows(20)
+        _assert_words_read(monkeypatch, demo_market(20), (0.0, 0.6), 1, 3)
 
-        monkeypatch.setattr(montecarlo, "_block_rng", block_rng)
-        spec, strategy = demo_market(3), Strategy(accept)
-        config = SimConfig(trials=montecarlo.BLOCK_TRIALS + 77, seed=2, focal_buyer=focal)
-        estimate = simulate(spec, strategy, config)
-        sizes = {0: montecarlo.BLOCK_TRIALS, 1: 77}
-        assert {block: rng.words for block, rng in read.items()} == {
-            block: size * (1 + arrays * spec.n) for block, size in sizes.items()
-        }
-        assert _fields(estimate) == _fields(reference_simulate(spec, strategy, config))
+
+def _assert_words_read(monkeypatch, spec, accept, focal, arrays) -> None:
+    real, read = montecarlo._block_rng, {}
+
+    def block_rng(seed, block):
+        read[block] = _Counting(real(seed, block))
+        return read[block]
+
+    monkeypatch.setattr(montecarlo, "_block_rng", block_rng)
+    strategy = Strategy(accept)
+    config = SimConfig(trials=montecarlo.BLOCK_TRIALS + 77, seed=2, focal_buyer=focal)
+    estimate = simulate(spec, strategy, config)
+    sizes = {0: montecarlo.BLOCK_TRIALS, 1: 77}
+    assert {block: rng.words for block, rng in read.items()} == {
+        block: size * (1 + arrays * spec.n) for block, size in sizes.items()
+    }
+    assert _fields(estimate) == _fields(reference_simulate(spec, strategy, config))
 
 
 # Markets wide enough that a buyer count per trial passes 255: everybody
@@ -279,6 +327,36 @@ def test_wide_markets_equal_the_reference(name, focal):
     config = SimConfig(trials=600, seed=3, focal_buyer=focal)
     expected = _fields(reference_simulate(spec, Strategy(accept), config))
     assert _fields(simulate(spec, Strategy(accept), config)) == expected
+
+
+@pytest.mark.parametrize("budget", sorted(CHUNK_BUDGETS))
+@pytest.mark.parametrize("focal", [None, 0, 255])
+@pytest.mark.parametrize("name", sorted(WIDE_CASES))
+def test_wide_markets_equal_the_reference_in_chunks(monkeypatch, name, focal, budget):
+    _set_chunk_budget(monkeypatch, budget, WIDE_CASES[name][0].n)
+    test_wide_markets_equal_the_reference(name, focal)
+
+
+def test_a_block_holds_one_chunk_of_floats(monkeypatch):
+    """One full block of a mixing market with a focal buyer at n = 200,
+    whose ``BLOCK_TRIALS x n`` float array would take 26.2 MB.  The block
+    holds one mask of 1 byte per cell (3.3 MB), which the accept decisions
+    reuse, one float chunk (``8 * CHUNK_CELLS`` bytes, 1 MiB), and
+    temporaries of a chunk (``CHUNK_CELLS`` bytes each) or of one value
+    per trial; a second MiB covers the temporaries.  tracemalloc sees
+    numpy's buffers."""
+    spec = tight_market(200)
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda: 1)
+    config = SimConfig(trials=montecarlo.BLOCK_TRIALS, seed=4, focal_buyer=100)
+    bound = montecarlo.BLOCK_TRIALS * spec.n + 2 * 8 * montecarlo.CHUNK_CELLS
+    tracemalloc.start()
+    try:
+        estimate = simulate(spec, Strategy((0.0, 0.65)), config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound < montecarlo.BLOCK_TRIALS * spec.n * 8 / 4
+    assert 0.0 < estimate.interim_estimate < 1.0
 
 
 class TestScheduling:
