@@ -14,12 +14,12 @@ trial, then a ``trials x n`` array each of signal uniforms, tie-breakers and
 decisions depend on: no signal uniforms when ``sigma`` is the same for every
 outcome, no tie-breakers when every ``sigma`` is 0 or 1, and nothing after
 the qualities when every ``sigma`` is 0.  A skipped array still holds its
-place in the stream: Philox is counter-based, so ``_skip`` jumps over it and
-every later draw is the one a read would have left.  The arithmetic after
-the draws reads no further random numbers, so the kernel can be rewritten
-without moving an estimate: ``tests/reference_montecarlo.py`` keeps the
-earlier kernel, which reads every array and sorts the visit order, on the
-same stream.
+place in the stream: Philox is counter-based, so ``_seek`` jumps to any
+word, back as well as forward, and every draw is the one a read of the
+whole stream would reach there.  The arithmetic after the draws reads no
+further random numbers, so the kernel can be rewritten without moving an
+estimate: ``tests/reference_montecarlo.py`` keeps the earlier kernel, which
+reads every array and sorts the visit order, on the same stream.
 
 *Signals.*  A buyer with signal uniform ``u`` in state ``theta`` gets outcome
 ``min(#{j : cum_theta[j] < u}, m - 1)``, where ``cum_theta`` is the running sum
@@ -52,22 +52,21 @@ that raises stops every worker before its next block, and the caller
 raises the error of the lowest-numbered failing block; an interrupt in the
 caller's own blocks stops them too.  No thread outlives the call.
 
-*Memory.*  A block reads each ``trials x n`` array a chunk of rows at a
-time into one float buffer, and every read overwrites it.  A chunk holds
-at most ``CHUNK_CELLS`` cells (1 MiB of floats), or one row when a row is
-longer.  A chunk reads the next words of the block's stream, so the
-chunking moves no draw.  Each chunk of signal uniforms becomes its boolean
-masks, one per chain step, at once, before the tie-breakers are read.  The
-masks cover the whole block, 1 byte per buyer per trial each, and once a
-chunk's decisions are formed the first mask holds them for the focal check.
-So a worker holds one float chunk and a mask per chain step (one mask for
-the decisions alone when a mixing strategy has no step but a focal buyer):
-1.9 MB at n = 50 with one step, where a block's float array took 6.6 MB.
-The masks still grow with n.  ``simulate`` allocates every worker's chunk
-and masks before the first block, so a config whose memory cannot be
-allocated fails at once, and frees them before it returns; when no block
-reads a ``trials x n`` array, it allocates neither.  The per-block results
-take 7 floats, 56 bytes, per block: 3.5 KB for a million trials.
+*Memory.*  A block is decided a chunk of rows at a time: for each chunk it
+seeks to that chunk's rows of the signal uniforms, then of the
+tie-breakers, then of the visit-order keys, and reads each it needs into
+one float buffer.  A chunk holds at most ``CHUNK_CELLS`` cells (1 MiB of
+floats), or one row when a row is longer; a one-chunk block seeks only
+past an array it skips.  The signal uniforms become one boolean mask per
+chain step, and all a chunk computes stays in the chunk.  So a worker
+holds one float chunk and its masks, 1.1 MiB with one step at any n up to
+``CHUNK_CELLS``, plus the block's arrays of one value per trial; above
+that, one row of n floats and a row mask per step.  ``simulate``
+allocates every worker's chunk and masks before the first block, so a
+config whose memory cannot be allocated fails at once, and frees them
+before it returns; when no block reads a ``trials x n`` array, it
+allocates neither.  The per-block results take 7 floats, 56 bytes, per
+block: 3.5 KB for a million trials.
 """
 
 from __future__ import annotations
@@ -91,8 +90,8 @@ BLOCK_TRIALS = 1 << 14
 # of floats, which stays in cache.  Markets with n <= 8 read each array in
 # one chunk.
 CHUNK_CELLS = 8 * BLOCK_TRIALS
-# Each worker holds one float chunk and one block's masks, so the cap also
-# bounds ``simulate``'s memory at three of each.
+# Each worker holds one float chunk and its masks, so the cap also bounds
+# ``simulate``'s memory at three of each.
 MAX_WORKERS = 3
 
 
@@ -151,22 +150,19 @@ def _worker_count() -> int:
     return min(len(mask) if mask is not None else os.cpu_count() or 1, MAX_WORKERS)
 
 
-def _skip(rng: Generator, drawn: int, words: int) -> None:
-    """Move ``rng``, which has handed out ``drawn`` words, past its next
-    ``words`` words, so that every later draw is the one a read would have
-    left.  Philox makes its words four at a time: the rest of the current
-    four are read, whole fours are jumped over by advancing the counter, and
-    the remainder is read.  ``advance`` discards the buffered words, so it is
-    called only once the buffer is used up."""
+def _seek(rng: Generator, at: int, to: int) -> None:
+    """Move ``rng``, which has handed out ``at`` words, so that its next
+    word is word ``to`` of its stream, the one a read from the start would
+    reach there.  Philox makes its words four at a time from a 256-bit
+    counter: ``advance`` moves the counter to the four holding word ``to``,
+    forward or, as the counter wraps, back, and drops the buffered words;
+    the words before ``to`` among those four are then read."""
+    if at == to:
+        return
     bits = rng.bit_generator
-    head = min(-drawn % 4, words)
-    tail = words - head
-    if head:
-        bits.random_raw(head)
-    if tail >= 4:
-        bits.advance(tail // 4)
-    if tail % 4:
-        bits.random_raw(tail % 4)
+    bits.advance((to // 4 - -(-at // 4)) % 2**256)
+    if to % 4:
+        bits.random_raw(to % 4)
 
 
 def _chunk_rows(n: int) -> int:
@@ -201,12 +197,11 @@ def _block_sums(
 ) -> tuple:
     """Draw block ``block`` of ``trials`` and return its counts and sums:
     High trials, trades in each state, the surplus and its square, and
-    visits of the focal buyer, all and in the High state.  Only the arrays
-    the decisions read are drawn; the others are skipped.  Each array is
-    read into ``chunk`` a chunk of rows at a time (one row per trial, one
-    column per buyer).  ``masks`` holds, for every trial of the block, one
-    signal mask per chain step, and after them the accept decisions in the
-    first mask."""
+    visits of the focal buyer, all and in the High state.  The block is
+    decided a chunk of rows at a time (one row per trial, one column per
+    buyer): each chunk's rows of the arrays the decisions read are read
+    into ``chunk``, the others skipped, and ``masks`` holds the chunk's
+    signal masks, one per chain step."""
     size = min(BLOCK_TRIALS, trials - block * BLOCK_TRIALS)
     rng = _block_rng(seed, block)
     theta_high = rng.random(size) < spec.rho
@@ -218,68 +213,67 @@ def _block_sums(
     # Indexes the columns (Low, High) of per-state values; a gather reads
     # the same floats as ``np.where`` on the mask, in a fraction of the time.
     state = theta_high.view(np.uint8)
-    spans = [(start, min(start + len(chunk), size)) for start in range(0, size, len(chunk))]
-    cells = size * spec.n
-    drawn = size  # words of the stream handed out so far, read or skipped
-    below = masks[:, :size]
-    # The accept decisions, kept for the focal check; None when everybody
-    # accepts.
-    accepts = below[0] if len(below) else None
+    n = spec.n
+    cells = size * n
+    at = size  # the next word of the stream
     # Filled chunk by chunk, unless every sigma is 1 and everybody trades.
     trade = np.empty(size, dtype=bool) if steps or mixing else np.ones(size, dtype=bool)
-    if steps:
-        for a, b in spans:
-            sig_u = rng.random(out=chunk[: b - a])
+    visits = visits_high = 0
+    for a in range(0, size, len(chunk)):
+        rows = chunk[: size - a]
+        b = a + len(rows)
+        below = masks[:, : len(rows)]
+        if steps:
+            _seek(rng, at, size + a * n)
+            sig_u = rng.random(out=rows)
+            at = size + b * n
             for j, below_j in zip(steps, below):
-                np.less_equal(sig_u, cum[j].take(state[a:b])[:, None], out=below_j[a:b])
-            if not mixing:
-                # A pure strategy decides without tie-breakers, and each
-                # step flips the decision.  The masks are nested, so a
-                # buyer's decision is the top outcome's flipped once per
-                # mask that holds.
-                decided = below[0, a:b]
-                for below_j in below[1:]:
-                    decided ^= below_j[a:b]
-                if sigma[-1]:
-                    np.logical_not(decided, out=decided)
-                _any_rows(decided, trade[a:b])
-        drawn += cells
-    if mixing:
-        _skip(rng, drawn, size + cells - drawn)
-        for a, b in spans:
-            tie_u = rng.random(out=chunk[: b - a])
+                np.less_equal(sig_u, cum[j].take(state[a:b])[:, None], out=below_j)
+        if mixing:
+            _seek(rng, at, size + cells + a * n)
+            tie_u = rng.random(out=rows)
+            at = size + cells + b * n
             # The threshold chain on accept decisions; the xor form of
             # ``where(below, tie_u < sigma[j], decided)`` runs without
             # branches.
             decided = tie_u < sigma[-1]
             for j, below_j in zip(steps, below):
-                decided ^= ((tie_u < sigma[j]) ^ decided) & below_j[a:b]
+                decided ^= ((tie_u < sigma[j]) ^ decided) & below_j
+        elif steps:
+            # A pure strategy decides without tie-breakers, and each step
+            # flips the decision.  The masks are nested, so a buyer's
+            # decision is the top outcome's flipped once per mask that
+            # holds.
+            decided = below[0]
+            for below_j in below[1:]:
+                decided ^= below_j
+            if sigma[-1]:
+                np.logical_not(decided, out=decided)
+        else:
+            decided = None  # everybody accepts
+        if decided is not None:
             _any_rows(decided, trade[a:b])
-            if focal is not None:
-                accepts[a:b] = decided
-        drawn = size + 2 * cells
+        if focal is not None:
+            _seek(rng, at, size + 2 * cells + a * n)
+            order_u = rng.random(out=rows)
+            at = size + 2 * cells + b * n
+            earlier = order_u < order_u[:, focal : focal + 1]
+            if decided is not None:
+                earlier &= decided
+            reached = ~_any_rows(earlier)
+            visits += np.count_nonzero(reached)
+            visits_high += np.count_nonzero(reached & theta_high[a:b])
 
     gain = np.array([-spec.c, 1.0 - spec.c]).take(state) * trade
-    sums = (
+    return (
         n_high,
         np.count_nonzero(trade & theta_high),
         np.count_nonzero(trade & ~theta_high),
         float(gain.sum()),
         float((gain * gain).sum()),
+        visits,
+        visits_high,
     )
-    if focal is None:
-        return (*sums, 0, 0)
-    _skip(rng, drawn, size + 2 * cells - drawn)
-    visits = visits_high = 0
-    for a, b in spans:
-        order_u = rng.random(out=chunk[: b - a])
-        earlier = order_u < order_u[:, focal : focal + 1]
-        if accepts is not None:
-            earlier &= accepts[a:b]
-        reached = ~_any_rows(earlier)
-        visits += np.count_nonzero(reached)
-        visits_high += np.count_nonzero(reached & theta_high[a:b])
-    return (*sums, visits, visits_high)
 
 
 def simulate(spec: MarketSpec, strategy: Strategy, config: SimConfig) -> SimEstimate:
@@ -320,12 +314,8 @@ def simulate(spec: MarketSpec, strategy: Strategy, config: SimConfig) -> SimEsti
     # accepts, or everybody does and there is no focal buyer).
     reads = bool(sigma.any()) and (bool(steps) or mixing or focal is not None)
     chunks = np.empty((workers, min(_chunk_rows(spec.n), BLOCK_TRIALS, trials), spec.n if reads else 0))
-    # One mask per chain step, or one for the accept decisions alone when
-    # only the focal check reads them.
-    masks = np.empty(
-        (workers, len(steps) or int(mixing and focal is not None), min(BLOCK_TRIALS, trials), spec.n),
-        dtype=bool,
-    )
+    # One mask per chain step, of a chunk's rows.
+    masks = np.empty((workers, len(steps), *chunks.shape[1:]), dtype=bool)
     # One row of counts and sums per block; a count is at most
     # ``BLOCK_TRIALS``, so float64 holds it exactly.
     results = np.empty((blocks, 7))

@@ -220,11 +220,11 @@ class TestReferenceKernel:
         """Both buyers accept.  Buyer 0 comes before focal buyer 1 only when
         its visit-order key is strictly smaller; an equal key counts as later.
         Everybody accepts, so the signal uniforms and tie-breakers, two words
-        per buyer, are skipped."""
+        per buyer, are skipped: the order keys are read from word 1 + 2n."""
         rng = _script(monkeypatch, [0.0], [[other_key, 0.5]])
         est = simulate(demo_market(), Strategy((1.0, 1.0)), SimConfig(trials=1, seed=0, focal_buyer=1))
         assert (est.interim_estimate == 1.0) if reached else math.isnan(est.interim_estimate)
-        assert rng.draws == [] and rng.skipped == 4
+        assert rng.draws == [] and rng.starts == [0, 1 + 2 * 2]
 
     @pytest.mark.parametrize("u, trades", [(0.8, False), (np.nextafter(0.8, 1.0), True)])
     def test_signal_uniform_on_a_cumulative_mass_takes_the_lower_outcome(self, monkeypatch, u, trades):
@@ -234,7 +234,7 @@ class TestReferenceKernel:
         rng = _script(monkeypatch, [0.9], [[u]])
         est = simulate(demo_market(n=1), Strategy((0.0, 1.0)), SimConfig(trials=1, seed=0))
         assert est.trade_prob_L == float(trades)
-        assert rng.draws == [] and rng.skipped == 0
+        assert rng.draws == [] and rng.starts == [0, 1]
 
     @pytest.mark.parametrize("kernel", [simulate, reference_simulate], ids=["kernel", "reference"])
     def test_a_zero_tie_breaker_does_not_accept_at_sigma_zero(self, monkeypatch, kernel):
@@ -254,14 +254,20 @@ class TestSkippedDraws:
 
     @pytest.mark.parametrize("offset", range(8))
     def test_skipping_words_leaves_the_draws_reading_them_leaves(self, offset):
-        """From every place in Philox's four-word buffer, skips of 0 to 9
-        words and one of about a million."""
-        for words in (*range(10), 10**6 + 3):
-            read, skipped = montecarlo._block_rng(5, offset), montecarlo._block_rng(5, offset)
-            read.random(offset + words)
-            skipped.random(offset)
-            montecarlo._skip(skipped, offset, words)
-            assert np.array_equal(skipped.random(9), read.random(9)), words
+        """From every place in Philox's four-word buffer, seeks forward of 0
+        to 9 words and of about a million, and back by 1 to 9 words and by
+        about a million: the counter wraps, so ``advance`` moves back too.
+        Each seek lands where a fresh stream read up to the target word
+        stands."""
+        at = 10**6 + 12 + offset
+        read = montecarlo._block_rng(5, offset).random(2 * at)
+        start = montecarlo._block_rng(5, offset)
+        start.random(at)
+        for words in (*range(10), 10**6 + 3, *range(-9, 0), -(10**6 + 3)):
+            seeked = montecarlo._block_rng(5, offset)
+            seeked.bit_generator.state = start.bit_generator.state
+            montecarlo._seek(seeked, at, at + words)
+            assert np.array_equal(seeked.random(9), read[at + words : at + words + 9]), words
 
     @pytest.mark.parametrize(
         "accept, focal, arrays",
@@ -289,8 +295,16 @@ class TestSkippedDraws:
         assert 2 * montecarlo._chunk_rows(20) < montecarlo.BLOCK_TRIALS < 3 * montecarlo._chunk_rows(20)
         _assert_words_read(monkeypatch, demo_market(20), (0.0, 0.6), 1, 3)
 
+    def test_a_one_chunk_block_reads_without_seeking(self, monkeypatch):
+        """At n <= 8 a block reads each array in one chunk, from where the
+        last one ended, so a block that reads every array never calls
+        ``advance``."""
+        read = _assert_words_read(monkeypatch, demo_market(8), (0.0, 0.6), 1, 3)
+        assert montecarlo._chunk_rows(8) == montecarlo.BLOCK_TRIALS
+        assert [rng.advances for rng in read.values()] == [0, 0]
 
-def _assert_words_read(monkeypatch, spec, accept, focal, arrays) -> None:
+
+def _assert_words_read(monkeypatch, spec, accept, focal, arrays) -> dict:
     real, read = montecarlo._block_rng, {}
 
     def block_rng(seed, block):
@@ -306,6 +320,7 @@ def _assert_words_read(monkeypatch, spec, accept, focal, arrays) -> None:
         block: size * (1 + arrays * spec.n) for block, size in sizes.items()
     }
     assert _fields(estimate) == _fields(reference_simulate(spec, strategy, config))
+    return read
 
 
 # Markets wide enough that a buyer count per trial passes 255: everybody
@@ -337,26 +352,31 @@ def test_wide_markets_equal_the_reference_in_chunks(monkeypatch, name, focal, bu
     test_wide_markets_equal_the_reference(name, focal)
 
 
-def test_a_block_holds_one_chunk_of_floats(monkeypatch):
-    """One full block of a mixing market with a focal buyer at n = 200,
-    whose ``BLOCK_TRIALS x n`` float array would take 26.2 MB.  The block
-    holds one mask of 1 byte per cell (3.3 MB), which the accept decisions
-    reuse, one float chunk (``8 * CHUNK_CELLS`` bytes, 1 MiB), and
-    temporaries of a chunk (``CHUNK_CELLS`` bytes each) or of one value
-    per trial; a second MiB covers the temporaries.  tracemalloc sees
-    numpy's buffers."""
-    spec = tight_market(200)
+@pytest.mark.parametrize("n", [200, 2000])
+@pytest.mark.parametrize(
+    "accept, focal", [((0.0, 1.0), False), ((0.0, 0.65), True)], ids=["pure", "mixing_focal"]
+)
+def test_a_block_holds_one_chunk_of_floats(monkeypatch, accept, focal, n):
+    """One full block of the tight market, whose ``BLOCK_TRIALS x n``
+    float array would take 26.2 MB at n = 200, holds the same memory at
+    either n: one float chunk (``8 * CHUNK_CELLS`` bytes, 1 MiB), one
+    chunk mask per chain step (``CHUNK_CELLS`` bytes each), and arrays of
+    one value per trial, of which four floats' worth (0.5 MiB) are
+    allowed.  Another four chunk masks' worth (0.5 MiB) covers the
+    temporaries.  tracemalloc sees numpy's buffers."""
+    spec = tight_market(n)
     monkeypatch.setattr(montecarlo, "_worker_count", lambda: 1)
-    config = SimConfig(trials=montecarlo.BLOCK_TRIALS, seed=4, focal_buyer=100)
-    bound = montecarlo.BLOCK_TRIALS * spec.n + 2 * 8 * montecarlo.CHUNK_CELLS
+    config = SimConfig(trials=montecarlo.BLOCK_TRIALS, seed=4, focal_buyer=n // 2 if focal else None)
+    # The tight market has two outcomes, so one chain step.
+    bound = (8 + 1) * montecarlo.CHUNK_CELLS + 4 * 8 * montecarlo.BLOCK_TRIALS + 4 * montecarlo.CHUNK_CELLS
     tracemalloc.start()
     try:
-        estimate = simulate(spec, Strategy((0.0, 0.65)), config)
+        estimate = simulate(spec, Strategy(accept), config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < bound < montecarlo.BLOCK_TRIALS * spec.n * 8 / 4
-    assert 0.0 < estimate.interim_estimate < 1.0
+    assert peak < bound, peak
+    assert not focal or 0.0 < estimate.interim_estimate < 1.0
 
 
 class TestScheduling:
@@ -443,29 +463,35 @@ class TestScheduling:
 
 class _Scripted:
     """Stands in for a block's generator: hands out the given draws in turn
-    and counts the words skipped past them."""
+    and records the word of the stream at which each starts.  The stream
+    position moves as Philox's does: ``advance`` moves the counter of the
+    four-word groups, relative to the groups begun and modulo 2**256, and
+    drops the rest of the current group."""
 
     def __init__(self, *draws):
         self.draws = list(draws)
-        self.skipped = 0
+        self.at = 0
+        self.starts = []
 
     @property
     def bit_generator(self):
-        # ``montecarlo._skip`` skips words through the bit generator.
+        # ``montecarlo._seek`` moves through the bit generator.
         return self
 
     def random_raw(self, size):
-        self.skipped += size
+        self.at += size
 
     def advance(self, delta):
-        self.skipped += 4 * delta
+        self.at = 4 * ((-(-self.at // 4) + delta) % 2**256)
 
     def random(self, size=None, out=None):
-        value = self.draws.pop(0)
-        if out is None:
-            return np.asarray(value, dtype=float)
-        out[...] = value
-        return out
+        value = np.asarray(self.draws.pop(0), dtype=float)
+        if out is not None:
+            out[...] = value
+            value = out
+        self.starts.append(self.at)
+        self.at += value.size
+        return value
 
 
 def _script(monkeypatch, *draws) -> _Scripted:
@@ -476,11 +502,22 @@ def _script(monkeypatch, *draws) -> _Scripted:
 
 
 class _Counting:
-    """Wraps a block's generator and counts the words its reads take."""
+    """Wraps a block's generator and counts the words its reads take and
+    the calls of its bit generator's ``advance``."""
 
     def __init__(self, rng):
-        self.rng, self.words = rng, 0
-        self.bit_generator = rng.bit_generator
+        self.rng, self.words, self.advances = rng, 0, 0
+
+    @property
+    def bit_generator(self):
+        return self
+
+    def random_raw(self, size):
+        return self.rng.bit_generator.random_raw(size)
+
+    def advance(self, delta):
+        self.advances += 1
+        return self.rng.bit_generator.advance(delta)
 
     def random(self, size=None, out=None):
         drawn = self.rng.random(size, out=out)
