@@ -30,16 +30,6 @@ from .experiment import (
     is_garbling_of,
     posterior,
 )
-from .design import (
-    GarblingReport,
-    MonotoneBinaryGarbling,
-    garbling_from_param,
-    ic_intervals,
-    is_ic,
-    max_irrelevant_param,
-    optimal_garbling,
-)
-from .montecarlo import SimConfig, SimEstimate, simulate
 from .statics import (
     BinaryThresholds,
     LimitClass,
@@ -57,5 +47,36 @@ from .statics import (
     sweep_binary,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The garbling design and the Monte Carlo oracle (with numpy.random) load on
+# first use, so importing the package or the CLI does not pay for them.
+_LAZY = {
+    "GarblingReport": "design",
+    "MonotoneBinaryGarbling": "design",
+    "garbling_from_param": "design",
+    "ic_intervals": "design",
+    "is_ic": "design",
+    "max_irrelevant_param": "design",
+    "optimal_garbling": "design",
+    "SimConfig": "montecarlo",
+    "SimEstimate": "montecarlo",
+    "simulate": "montecarlo",
+}
+
+__all__ = sorted({name for name in dir() if not name.startswith("_")} | set(_LAZY) | set(_LAZY.values()))
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # Not cached: a name patched in its module (a tracer, a test) reads
+    # through here, and nothing stale stays behind.  An unknown name, or
+    # a submodule not yet imported, raises AttributeError, so
+    # ``from seqmarket import design`` imports the submodule.
+    if name in _LAZY:
+        from importlib import import_module
+
+        return getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

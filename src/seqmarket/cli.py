@@ -18,11 +18,10 @@ import os
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import design as design_mod
-from . import montecarlo
 from .equilibrium import (
     SELECTORS,
     Equilibrium,
@@ -37,6 +36,11 @@ from .errors import MarketModelError, NoEquilibriumFound, SchemaError, Validatio
 from .experiment import LocalSpreadParams, OddsRatio, build_experiment, posterior
 from .scenarios import demo_market, revealing_market, tight_market
 from .statics import spread_surplus_delta, surplus_vs_n, sweep_binary
+
+# design and montecarlo are imported inside the commands that run them, so
+# the other commands never load them (nor numpy.random).
+if TYPE_CHECKING:
+    from .design import GarblingReport
 
 SCHEMA_VERSION = 1
 
@@ -389,7 +393,7 @@ def _cmd_spread(config: RunConfig) -> dict:
     return {"spread": columns}
 
 
-def _design_row(report: design_mod.GarblingReport) -> dict:
+def _design_row(report: GarblingReport) -> dict:
     return {
         "D": report.garbling.D,
         "threshold_label": report.garbling.threshold_label,
@@ -402,11 +406,13 @@ def _design_row(report: design_mod.GarblingReport) -> dict:
 
 
 def _cmd_design(config: RunConfig) -> dict:
+    from . import design
+
     market = config.market
-    tables = {"design": _design_row(design_mod.optimal_garbling(market))}
+    tables = {"design": _design_row(design.optimal_garbling(market))}
     if config.design.emit_grid:
         # _design_row's columns, read off the grid's diagnostics.
-        diag = design_mod.garbling_grid(market, config.design.grid_points)
+        diag = design.garbling_grid(market, config.design.grid_points)
         rows, labels = diag["threshold_row"], market.experiment.labels
         tables["design_grid"] = {
             "D": diag["D"].tolist(),
@@ -421,6 +427,8 @@ def _cmd_design(config: RunConfig) -> dict:
 
 
 def _cmd_simulate(config: RunConfig) -> dict:
+    from . import montecarlo
+
     cfg = config.simulate
     if isinstance(cfg.strategy, str):
         strategy = select_equilibrium(config.market, cfg.strategy).strategy

@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -140,6 +139,8 @@ def _ratio_cmp_exact(a: "tuple[float, float]", b: "tuple[float, float]") -> int:
     """
     lhs, rhs = a[1] * b[0], b[1] * a[0]
     if lhs == rhs:
+        from fractions import Fraction
+
         lhs, rhs = Fraction(a[1]) * Fraction(b[0]), Fraction(b[1]) * Fraction(a[0])
     return (lhs > rhs) - (lhs < rhs)
 

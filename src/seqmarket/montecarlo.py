@@ -78,8 +78,10 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-# Loaded with the module (numpy defers it until first use), so the first
-# simulation does not pay for importing it.
+# numpy loads numpy.random only on first use (about 15 ms and 6 MB of
+# OpenSSL through ``secrets``); importing it here ties that cost to this
+# module, which the CLI loads for ``simulate`` alone, and keeps it out of
+# the first block.
 from numpy.random import Generator, Philox
 
 from .errors import NoFocalBuyer

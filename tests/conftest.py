@@ -1,11 +1,29 @@
-"""Shared generators for the seeded property suites."""
+"""Shared generators for the seeded property suites, and a fresh-interpreter
+probe of what a piece of code imports."""
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
 from seqmarket.equilibrium import MarketSpec
 from seqmarket.experiment import FiniteExperiment, build_experiment
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+_MODULES = "--- sys.modules ---"
+
+
+def loaded_modules(probe: str) -> set[str]:
+    """Run ``probe`` in a fresh interpreter on this checkout's ``src/`` and
+    return the names in its ``sys.modules`` when the probe has finished."""
+    env = dict(os.environ, PYTHONPATH=str(_SRC))
+    script = f"{probe}\nimport sys\nprint({_MODULES!r}, *sys.modules, sep='\\n')\n"
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    return set(out.stdout.rpartition(_MODULES)[2].split())
 
 
 def random_experiment(

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import seqmarket.cli as cli
+from conftest import loaded_modules
 from seqmarket.errors import NoEquilibriumFound, SchemaError, ValidationError
 
 DEMO_DOC = {
@@ -347,14 +348,44 @@ class TestExitCodes:
         assert "unique equilibrium at n=1" in capsys.readouterr().err
 
 
+# Loaded only by the commands that use them: the garbling design, the Monte
+# Carlo oracle with numpy.random, and fractions for exact odds ties.
+_DEFERRED = ("numpy.random", "seqmarket.design", "seqmarket.montecarlo", "fractions")
+
+
 def test_cli_import_leaves_scipy_optimize_out():
     """No command needs the LP solver or an executor pool, so importing the
-    CLI must load neither."""
-    src = Path(cli.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
-    probe = "import sys, seqmarket.cli; print('scipy.optimize' in sys.modules, 'concurrent.futures' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False False"
+    CLI must load neither; nor does it load what only some commands use."""
+    loaded = loaded_modules("import seqmarket.cli")
+    assert "scipy.optimize" not in loaded
+    assert "concurrent.futures" not in loaded
+    assert loaded.isdisjoint(_DEFERRED)
+
+
+_EVERY_SECTION = {
+    **DEMO_DOC,
+    "sweep_n": {"n_max": 8},
+    "sweep_binary": {"dimension": "bad", "grid": [0.3, 0.2, 0.1]},
+    "spread": {"index": 1, "lr_low": 0.25, "lr_high": [9, 1]},
+    "design": {"emit_grid": True, "grid_points": 11},
+    "simulate": {"trials": 1000, "seed": 7, "focal_buyer": 0, "strategy": "most"},
+}
+
+
+# What each command loads of _DEFERRED; the other commands load none of it.
+_LOADS = {"design": ("seqmarket.design",), "simulate": ("seqmarket.montecarlo", "numpy.random")}
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep-n", "sweep-binary", "spread", "repro section8", "design", "simulate"])
+def test_each_command_loads_only_what_it_runs(tmp_path, command):
+    loads = set(_LOADS.get(command, ()))
+    argv = command.split()
+    if argv[0] != "repro":
+        argv += ["--config", str(write_config(tmp_path, _EVERY_SECTION))]
+    argv += ["--out", str(tmp_path / "out")]
+    loaded = loaded_modules(f"import seqmarket.cli\nassert seqmarket.cli.main({argv!r}) == 0")
+    assert loads <= loaded
+    assert loaded.isdisjoint(set(_DEFERRED) - loads)
 
 
 def test_cli_import_builds_no_parser():

@@ -3,10 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,7 +13,7 @@ from hypothesis import strategies as st
 import reference_solver as reference
 import seqmarket.statics as statics
 
-from conftest import random_market
+from conftest import loaded_modules, random_market
 from seqmarket.equilibrium import MarketSpec, Strategy, enumerate_chains, select_equilibrium
 from seqmarket.errors import DegeneratePrior, GridOutOfRange, NonMonotoneStrategy, NotBinary, NotComparable
 from seqmarket.experiment import (
@@ -593,17 +589,12 @@ class TestSingleBuyerBlackwell:
     def test_comparisons_load_no_scipy(self):
         """Blackwell comparisons run on the likelihood-ratio frontier, so
         they load nothing of scipy."""
-        src = Path(statics.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=str(src))
         probe = (
-            "import sys\n"
             "from seqmarket.experiment import binary_experiment_from_labels, build_experiment, is_garbling_of\n"
             "from seqmarket.statics import single_buyer_blackwell_check\n"
             "fine = build_experiment([(0.5, 0.2), (0.3, 0.3), (0.2, 0.5)])\n"
             "assert is_garbling_of(build_experiment([(0.8, 0.5), (0.2, 0.5)]), fine)\n"
             "better, base = binary_experiment_from_labels(0.1, 0.9), binary_experiment_from_labels(0.2, 0.8)\n"
             "assert single_buyer_blackwell_check(better, base, [0.5], [0.5])\n"
-            "print('scipy' in sys.modules)"
         )
-        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert "scipy" not in loaded_modules(probe)
