@@ -38,6 +38,25 @@ smaller than the focal buyer's accepts.  A buyer whose key equals the focal
 buyer's counts as visited after it; such a tie has probability about
 ``(n - 1) * 2**-53`` per trial.
 
+*Words.*  No draw is converted to a float.  numpy's ``Generator.random``
+maps a raw 64-bit Philox word ``w`` to ``(w >> 11) * 2**-53``, so with
+``k = w >> 11`` each float test above has an exact integer form: the kernel
+reads the words through the bit generator's ``random_raw`` and compares
+them with bounds that ``simulate`` computes once per call.
+
+- quality: ``u < rho`` iff ``w < ceil(rho * 2**53) << 11``, every word at
+  rho = 1;
+- signal: ``u <= cum`` iff
+  ``w <= (min(floor(cum * 2**53), 2**53 - 1) << 11) | 0x7FF``, which also
+  covers a cumulative sum that ends an ulp above or below 1;
+- tie-breaker: ``t < sigma`` iff ``w < ceil(sigma * 2**53) << 11``, no word
+  at sigma = 0 and every word at sigma = 1;
+- visit order: ``u_i < u_f`` iff ``w_i < (w_f & ~0x7FF)``, so words equal
+  after ``>> 11`` stay a tie.
+
+The tests check the mapping bit for bit, so a numpy that changed it fails
+them before any estimate moves.
+
 *Scheduling.*  ``simulate`` runs the blocks on ``workers`` threads: the
 caller is worker 0, and worker ``w`` runs blocks ``w, w + workers, ...``.
 The draws and the array arithmetic release the interpreter lock, so the
@@ -54,19 +73,21 @@ caller's own blocks stops them too.  No thread outlives the call.
 
 *Memory.*  A block is decided a chunk of rows at a time: for each chunk it
 seeks to that chunk's rows of the signal uniforms, then of the
-tie-breakers, then of the visit-order keys, and reads each it needs into
-one float buffer.  A chunk holds at most ``CHUNK_CELLS`` cells (1 MiB of
-floats), or one row when a row is longer; a one-chunk block seeks only
-past an array it skips.  The signal uniforms become one boolean mask per
-chain step, and all a chunk computes stays in the chunk.  So a worker
-holds one float chunk and its masks, 1.1 MiB with one step at any n up to
-``CHUNK_CELLS``, plus the block's arrays of one value per trial; above
-that, one row of n floats and a row mask per step.  ``simulate``
-allocates every worker's chunk and masks before the first block, so a
-config whose memory cannot be allocated fails at once, and frees them
-before it returns; when no block reads a ``trials x n`` array, it
-allocates neither.  The per-block results take 7 floats, 56 bytes, per
-block: 3.5 KB for a million trials.
+tie-breakers, then of the visit-order keys, and reads the words of each it
+needs, dropping one before it reads the next.  A chunk holds at most
+``CHUNK_CELLS`` cells (1 MiB of words), or one row when a row is longer; a
+one-chunk block seeks only past an array it skips.  The signal words
+become one boolean mask per chain step, and all a chunk computes stays in
+the chunk.  So a worker holds one chunk of words and its masks, 1.1 MiB
+with one step at any n up to ``CHUNK_CELLS``, plus the block's arrays of
+one value per trial; above that, one row of n words and a row mask per
+step.  ``random_raw`` allocates each chunk of words as it is read.
+``simulate`` allocates every worker's masks before the first block, so a
+config whose masks cannot be allocated fails at once, and frees them
+before it returns.  A strategy without chain steps has no masks: a row of
+words too large to allocate fails in the first block that reads one,
+once its qualities are drawn.  The per-block results take 7 floats, 56
+bytes, per block: 3.5 KB for a million trials.
 """
 
 from __future__ import annotations
@@ -89,12 +110,16 @@ from .equilibrium import MarketSpec, Strategy, _check_length
 
 BLOCK_TRIALS = 1 << 14
 # The most cells of a block's ``trials x n`` arrays read at a time: 1 MiB
-# of floats, which stays in cache.  Markets with n <= 8 read each array in
+# of words, which stays in cache.  Markets with n <= 8 read each array in
 # one chunk.
 CHUNK_CELLS = 8 * BLOCK_TRIALS
-# Each worker holds one float chunk and its masks, so the cap also bounds
-# ``simulate``'s memory at three of each.
+# Each worker holds one chunk of words and its masks, so the cap also
+# bounds ``simulate``'s memory at three of each.
 MAX_WORKERS = 3
+# ``Generator.random`` maps a raw Philox word ``w`` to ``(w >> 11) * 2**-53``,
+# so words that differ only in their low 11 bits give the same float.
+_LOW_BITS = 0x7FF
+_HIGH_BITS = np.uint64(2**64 - 1 - _LOW_BITS)
 
 
 @dataclass(frozen=True)
@@ -164,7 +189,7 @@ def _seek(rng: Generator, at: int, to: int) -> None:
     bits = rng.bit_generator
     bits.advance((to // 4 - -(-at // 4)) % 2**256)
     if to % 4:
-        bits.random_raw(to % 4)
+        bits.random_raw(to % 4, False)
 
 
 def _chunk_rows(n: int) -> int:
@@ -184,36 +209,58 @@ def _any_rows(mask: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.not_equal(hits, 0, out=out)
 
 
+def _below(x: float) -> int:
+    """The word bound of the strict test ``random() < x`` for ``x`` in
+    [0, 1]: ``(w >> 11) * 2**-53 < x`` iff ``w < ceil(x * 2**53) << 11``.
+    The bound is 0 (no word) at x = 0 and 2**64 (every word) at x = 1."""
+    return math.ceil(x * 2.0**53) << 11
+
+
+def _at_most(x: float) -> int:
+    """The word bound of the test ``random() <= x`` for ``x >= 0``:
+    ``(w >> 11) * 2**-53 <= x`` iff ``w <= bound``, the top 53 bits
+    ``floor(x * 2**53)``, at most ``2**53 - 1``, and every low bit set."""
+    return min(math.floor(x * 2.0**53), 2**53 - 1) << 11 | _LOW_BITS
+
+
+def _less(words: np.ndarray, bound: int) -> np.ndarray:
+    """``words < bound`` for a bound in [0, 2**64]: no ``uint64`` holds
+    2**64, which lies above every word."""
+    return words < np.uint64(bound) if bound < 2**64 else np.ones(words.shape, dtype=bool)
+
+
 def _block_sums(
     spec: MarketSpec,
+    rho_bound: int,
+    signal_bounds: np.ndarray,
+    tie_bounds: list[int],
     sigma: np.ndarray,
-    cum: np.ndarray,
     steps: list[int],
     mixing: bool,
     focal: int | None,
     seed: int,
     trials: int,
     block: int,
-    chunk: np.ndarray,
     masks: np.ndarray,
 ) -> tuple:
     """Draw block ``block`` of ``trials`` and return its counts and sums:
     High trials, trades in each state, the surplus and its square, and
     visits of the focal buyer, all and in the High state.  The block is
     decided a chunk of rows at a time (one row per trial, one column per
-    buyer): each chunk's rows of the arrays the decisions read are read
-    into ``chunk``, the others skipped, and ``masks`` holds the chunk's
-    signal masks, one per chain step."""
+    buyer): each chunk's rows of the arrays the decisions read are read as
+    raw words, the others skipped, and ``masks`` holds the chunk's signal
+    masks, one per chain step, of ``masks.shape[1]`` rows."""
     size = min(BLOCK_TRIALS, trials - block * BLOCK_TRIALS)
     rng = _block_rng(seed, block)
-    theta_high = rng.random(size) < spec.rho
+    raw = rng.bit_generator.random_raw
+    theta_high = _less(raw(size), rho_bound)
     n_high = np.count_nonzero(theta_high)
     if not sigma.any():
         # Nobody accepts: no trade, and the focal buyer is always reached.
         return (n_high, 0, 0, 0.0, 0.0, *((size, n_high) if focal is not None else (0, 0)))
 
     # Indexes the columns (Low, High) of per-state values; a gather reads
-    # the same floats as ``np.where`` on the mask, in a fraction of the time.
+    # the same values as ``np.where`` on the mask, in a fraction of the time.
     state = theta_high.view(np.uint8)
     n = spec.n
     cells = size * n
@@ -221,26 +268,27 @@ def _block_sums(
     # Filled chunk by chunk, unless every sigma is 1 and everybody trades.
     trade = np.empty(size, dtype=bool) if steps or mixing else np.ones(size, dtype=bool)
     visits = visits_high = 0
-    for a in range(0, size, len(chunk)):
-        rows = chunk[: size - a]
-        b = a + len(rows)
-        below = masks[:, : len(rows)]
+    for a in range(0, size, masks.shape[1]):
+        b = min(a + masks.shape[1], size)
+        below = masks[:, : b - a]
+        # Each chunk of words is dropped once read, so that one is live.
         if steps:
             _seek(rng, at, size + a * n)
-            sig_u = rng.random(out=rows)
+            words = raw((b - a) * n).reshape(-1, n)
             at = size + b * n
             for j, below_j in zip(steps, below):
-                np.less_equal(sig_u, cum[j].take(state[a:b])[:, None], out=below_j)
+                np.less_equal(words, signal_bounds[j].take(state[a:b])[:, None], out=below_j)
+            del words
         if mixing:
             _seek(rng, at, size + cells + a * n)
-            tie_u = rng.random(out=rows)
+            words = raw((b - a) * n).reshape(-1, n)
             at = size + cells + b * n
             # The threshold chain on accept decisions; the xor form of
-            # ``where(below, tie_u < sigma[j], decided)`` runs without
-            # branches.
-            decided = tie_u < sigma[-1]
+            # ``where(below, t < sigma[j], decided)`` runs without branches.
+            decided = _less(words, tie_bounds[-1])
             for j, below_j in zip(steps, below):
-                decided ^= ((tie_u < sigma[j]) ^ decided) & below_j
+                decided ^= (_less(words, tie_bounds[j]) ^ decided) & below_j
+            del words
         elif steps:
             # A pure strategy decides without tie-breakers, and each step
             # flips the decision.  The masks are nested, so a buyer's
@@ -257,9 +305,10 @@ def _block_sums(
             _any_rows(decided, trade[a:b])
         if focal is not None:
             _seek(rng, at, size + 2 * cells + a * n)
-            order_u = rng.random(out=rows)
+            words = raw((b - a) * n).reshape(-1, n)
             at = size + 2 * cells + b * n
-            earlier = order_u < order_u[:, focal : focal + 1]
+            earlier = words < (words[:, focal : focal + 1] & _HIGH_BITS)
+            del words
             if decided is not None:
                 earlier &= decided
             reached = ~_any_rows(earlier)
@@ -294,12 +343,15 @@ def simulate(spec: MarketSpec, strategy: Strategy, config: SimConfig) -> SimEsti
     sigma = strategy.as_array()
     steps = [j for j in range(spec.experiment.m - 2, -1, -1) if sigma[j] != sigma[j + 1]]
     mixing = bool(((0.0 < sigma) & (sigma < 1.0)).any())
+    # Cumulative signal masses, one row per outcome, Low then High.
+    cum = np.cumsum([spec.experiment.p_L_array(), spec.experiment.p_H_array()], axis=1).T
     run = partial(
         _block_sums,
         spec,
+        _below(spec.rho),
+        np.array([[_at_most(x) for x in row] for row in cum.tolist()], dtype=np.uint64),
+        [_below(x) for x in sigma.tolist()],
         sigma,
-        # Cumulative signal masses, one row per outcome, Low then High.
-        np.cumsum([spec.experiment.p_L_array(), spec.experiment.p_H_array()], axis=1).T,
         steps,
         mixing,
         focal,
@@ -309,15 +361,10 @@ def simulate(spec: MarketSpec, strategy: Strategy, config: SimConfig) -> SimEsti
     blocks = -(-trials // BLOCK_TRIALS)
     workers = min(_worker_count(), blocks)
 
-    # Allocated by the caller: buffers the workers allocated came from
-    # per-thread malloc arenas, and the commands that ran after a
-    # simulation in the same process measured slower and larger.  The
-    # chunks are zero cells wide when no block reads into them (nobody
-    # accepts, or everybody does and there is no focal buyer).
-    reads = bool(sigma.any()) and (bool(steps) or mixing or focal is not None)
-    chunks = np.empty((workers, min(_chunk_rows(spec.n), BLOCK_TRIALS, trials), spec.n if reads else 0))
-    # One mask per chain step, of a chunk's rows.
-    masks = np.empty((workers, len(steps), *chunks.shape[1:]), dtype=bool)
+    # One mask per chain step, of a chunk's rows, allocated before the
+    # first block so that masks too large to allocate fail at once.  The
+    # words are allocated by ``random_raw`` in the worker that reads them.
+    masks = np.empty((workers, len(steps), min(_chunk_rows(spec.n), BLOCK_TRIALS, trials), spec.n), dtype=bool)
     # One row of counts and sums per block; a count is at most
     # ``BLOCK_TRIALS``, so float64 holds it exactly.
     results = np.empty((blocks, 7))
@@ -329,7 +376,7 @@ def simulate(spec: MarketSpec, strategy: Strategy, config: SimConfig) -> SimEsti
             if failed.is_set():
                 return
             try:
-                results[block] = run(block, chunks[w], masks[w])
+                results[block] = run(block, masks[w])
             except Exception as exc:
                 errors[block] = exc
                 failed.set()
@@ -348,7 +395,7 @@ def simulate(spec: MarketSpec, strategy: Strategy, config: SimConfig) -> SimEsti
     finally:
         for thread in threads:
             thread.join()
-        del chunks, masks
+        del masks
     if errors:
         raise errors[min(errors)]
 

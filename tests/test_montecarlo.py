@@ -13,6 +13,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import reference_montecarlo
 import seqmarket.montecarlo as montecarlo
@@ -34,6 +36,8 @@ from seqmarket.scenarios import demo_market, revealing_market, tight_market
 
 SIGMA_SELECTIVE = Strategy((0.0, 1.0))
 TRIALS = 10**6
+# The word numpy maps to the float 0.5: ``(w >> 11) * 2**-53 == 0.5``.
+HALF = 2**52 << 11
 
 
 def assert_within(value: float, target: float, se: float, sigmas: float = 3.0) -> None:
@@ -152,6 +156,9 @@ EQUIVALENCE_CASES = {
     "accept_all": (demo_market(4), (1.0, 1.0), (0, 3)),
     "non_monotone": (MarketSpec(0.6, 0.5, 5, ONE_ULP_SHORT), (0.7, 0.0, 1.0), (0, 4)),
     "equal_neighbours": (MarketSpec(0.6, 0.5, 4, ONE_ULP_SHORT), (0.4, 0.4, 0.9), (2,)),
+    # rho at 0 and 1: every trial Low, every trial High.
+    "rho_zero": (MarketSpec(0.0, 0.3, 3, ONE_ULP_SHORT), (0.0, 0.5, 1.0), (1,)),
+    "rho_one": (MarketSpec(1.0, 0.3, 3, ONE_ULP_SHORT), (0.2, 0.0, 1.0), (0,)),
 }
 for _seed in range(6):
     _spec = random_market(np.random.default_rng(100 + _seed), m_choices=(2, 3, 4, 5), n_range=(1, 8))
@@ -215,13 +222,26 @@ class TestReferenceKernel:
         _set_chunk_budget(monkeypatch, budget, EQUIVALENCE_CASES[name][0].n)
         _assert_equal_to_the_reference(monkeypatch, name)
 
-    @pytest.mark.parametrize("other_key, reached", [(0.5, True), (0.25, False)])
-    def test_visit_order_tie_counts_the_other_buyer_after(self, monkeypatch, other_key, reached):
+    @pytest.mark.parametrize(
+        "keys, reached",
+        [
+            pytest.param([[0.5, 0.5]], True, id="0.5-True"),
+            pytest.param([[0.25, 0.5]], False, id="0.25-False"),
+            # Words equal after ``>> 11``, in both orders: equal floats.
+            pytest.param(np.array([[HALF, HALF | 0x7FF]], dtype=np.uint64), True, id="words_low_bits_focal"),
+            pytest.param(np.array([[HALF | 0x7FF, HALF]], dtype=np.uint64), True, id="words_low_bits_other"),
+        ],
+    )
+    def test_visit_order_tie_counts_the_other_buyer_after(self, monkeypatch, keys, reached):
         """Both buyers accept.  Buyer 0 comes before focal buyer 1 only when
         its visit-order key is strictly smaller; an equal key counts as later.
-        Everybody accepts, so the signal uniforms and tie-breakers, two words
-        per buyer, are skipped: the order keys are read from word 1 + 2n."""
-        rng = _script(monkeypatch, [0.0], [[other_key, 0.5]])
+        Keys are compared as the floats numpy would draw, so two words that
+        differ only in their low 11 bits are equal keys: a kernel comparing
+        whole words would put buyer 0 first when only the focal buyer's low
+        bits are set.  Everybody accepts, so the signal uniforms and
+        tie-breakers, two words per buyer, are skipped: the order keys are
+        read from word 1 + 2n."""
+        rng = _script(monkeypatch, [0.0], keys)
         est = simulate(demo_market(), Strategy((1.0, 1.0)), SimConfig(trials=1, seed=0, focal_buyer=1))
         assert (est.interim_estimate == 1.0) if reached else math.isnan(est.interim_estimate)
         assert rng.draws == [] and rng.starts == [0, 1 + 2 * 2]
@@ -240,12 +260,92 @@ class TestReferenceKernel:
     def test_a_zero_tie_breaker_does_not_accept_at_sigma_zero(self, monkeypatch, kernel):
         """A buyer accepts iff its tie-breaker is strictly below sigma, so the
         rejected outcome 0 stays rejected even for a tie-breaker of 0.0."""
-        rng = _script(monkeypatch, [0.9], [[0.1]], [[0.0]])
+        rng = _script(monkeypatch, [0.9], [[0.125]], [[0.0]])
         # The reference reads the same three scripted arrays.
         monkeypatch.setattr(reference_montecarlo, "_block_rng", montecarlo._block_rng)
         est = kernel(demo_market(n=1), Strategy((0.0, 0.5)), SimConfig(trials=1, seed=0))
         assert est.trade_prob_L == 0.0
         assert rng.draws == []
+
+
+def _float(word: int) -> float:
+    """The float numpy's ``random()`` makes of a Philox word."""
+    return (word >> 11) * 2.0**-53
+
+
+def _assert_word_rules(x: float, words: list[int]) -> None:
+    """Each integer rule of the kernel decides ``words`` as the float test
+    it replaces decides their floats: the quality and tie-breaker test
+    ``u < x`` for x in [0, 1] (rho or a sigma), the signal test
+    ``u <= x`` (x a cumulative mass, which may end above 1), and the
+    visit-order test ``u_i < u_f`` with each word as the focal key."""
+    w = np.array(words, dtype=np.uint64)
+    u = [_float(word) for word in words]
+    if x <= 1.0:
+        assert montecarlo._less(w, montecarlo._below(x)).tolist() == [v < x for v in u], x
+    assert (w <= np.uint64(montecarlo._at_most(x))).tolist() == [v <= x for v in u], x
+    for focal in words:
+        earlier = w < (np.uint64(focal) & montecarlo._HIGH_BITS)
+        assert earlier.tolist() == [v < _float(focal) for v in u], focal
+
+
+def _words_around(x: float) -> list[int]:
+    """The words whose floats lie at and next to the multiple of 2**-53 at
+    or below ``x``, with the lowest and the highest word."""
+    k = min(math.floor(x * 2.0**53), 2**53 - 1)
+    near = [j << 11 | low for j in (k - 1, k, k + 1) if 0 <= j < 2**53 for low in (0, 0x7FF)]
+    return [0, *near, 2**64 - 1]
+
+
+_MULTIPLES = [k * 2.0**-53 for k in (1, 2, 3, 0x1234567890ABC, 2**52, 2**53 - 1)]
+# Exact multiples of 2**-53 and their float neighbours on both sides, the
+# smallest subnormal, 0.1 (no multiple) and 0.8 (one), the low-state sum of
+# ONE_ULP_SHORT, and a sum one ulp above 1.
+BOUNDARY_XS = sorted(
+    {0.0, 5e-324, 0.1, 0.8, 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52}
+    | set(_MULTIPLES)
+    | {float(np.nextafter(x, 0.0)) for x in _MULTIPLES}
+    | {float(np.nextafter(x, 2.0)) for x in _MULTIPLES}
+)
+
+
+class TestWordRules:
+    """The kernel compares raw Philox words with integer bounds where
+    ``tests/reference_montecarlo.py`` compares numpy's floats."""
+
+    @pytest.mark.parametrize("offset", range(8))
+    def test_random_is_each_words_top_53_bits(self, offset):
+        """Every rule rests on numpy mapping a word ``w`` to the float
+        ``(w >> 11) * 2**-53``.  Checked ``==`` on block streams of three
+        keys, from word ``offset`` (offset 0 is the stream's start, and
+        seeks nowhere) and from word 10**6 + ``offset``: each place in
+        Philox's four-word buffer, reached by ``_seek``."""
+        for seed_, block in ((0, 0), (7, 1), (2**64 - 1, 60)):
+            for to in (offset, 10**6 + offset):
+                floats, words = montecarlo._block_rng(seed_, block), montecarlo._block_rng(seed_, block)
+                montecarlo._seek(floats, 0, to)
+                montecarlo._seek(words, 0, to)
+                raw = words.bit_generator.random_raw(4099)
+                assert np.array_equal(floats.random(4099), (raw >> np.uint64(11)).astype(float) * 2.0**-53)
+
+    @pytest.mark.parametrize("x", BOUNDARY_XS)
+    def test_rules_at_the_boundaries(self, x):
+        _assert_word_rules(x, _words_around(x))
+
+    def test_edges_take_no_word_or_every_word(self):
+        """rho or sigma 0 admits no word, 1 every word, the highest
+        included; a cumulative mass of 1 or above takes every word."""
+        w = np.array([0, 0x7FF, 2**63, 2**64 - 0x800, 2**64 - 1], dtype=np.uint64)
+        assert montecarlo._below(0.0) == 0 and not montecarlo._less(w, 0).any()
+        assert montecarlo._below(1.0) == 2**64 and montecarlo._less(w, 2**64).all()
+        for x in (1.0, 1.0 + 2.0**-52):
+            assert montecarlo._at_most(x) == 2**64 - 1
+
+    @seed(30)
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.floats(0.0, 1.0), words=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6))
+    def test_rules_on_drawn_values(self, x, words):
+        _assert_word_rules(x, words)
 
 
 class TestSkippedDraws:
@@ -358,8 +458,8 @@ def test_wide_markets_equal_the_reference_in_chunks(monkeypatch, name, focal, bu
 )
 def test_a_block_holds_one_chunk_of_floats(monkeypatch, accept, focal, n):
     """One full block of the tight market, whose ``BLOCK_TRIALS x n``
-    float array would take 26.2 MB at n = 200, holds the same memory at
-    either n: one float chunk (``8 * CHUNK_CELLS`` bytes, 1 MiB), one
+    array of words would take 26.2 MB at n = 200, holds the same memory at
+    either n: one chunk of words (``8 * CHUNK_CELLS`` bytes, 1 MiB), one
     chunk mask per chain step (``CHUNK_CELLS`` bytes each), and arrays of
     one value per trial, of which four floats' worth (0.5 MiB) are
     allowed.  Another four chunk masks' worth (0.5 MiB) covers the
@@ -463,10 +563,14 @@ class TestScheduling:
 
 class _Scripted:
     """Stands in for a block's generator: hands out the given draws in turn
-    and records the word of the stream at which each starts.  The stream
-    position moves as Philox's does: ``advance`` moves the counter of the
-    four-word groups, relative to the groups begun and modulo 2**256, and
-    drops the rest of the current group."""
+    and records the word of the stream at which each starts.  A draw of
+    floats is handed out by ``random``, or by ``random_raw`` as the words
+    numpy maps to those floats, ``u * 2**53 << 11``; each must be a
+    multiple of 2**-53 in [0, 1), which numpy can draw.  A draw of
+    ``uint64`` words is handed out as it stands.  The stream position moves
+    as Philox's does: ``advance`` moves the counter of the four-word
+    groups, relative to the groups begun and modulo 2**256, and drops the
+    rest of the current group."""
 
     def __init__(self, *draws):
         self.draws = list(draws)
@@ -478,19 +582,32 @@ class _Scripted:
         # ``montecarlo._seek`` moves through the bit generator.
         return self
 
-    def random_raw(self, size):
-        self.at += size
+    def _next(self) -> np.ndarray:
+        value = np.asarray(self.draws.pop(0))
+        self.starts.append(self.at)
+        self.at += value.size
+        return value
+
+    def random_raw(self, size, output=True):
+        if not output:
+            self.at += size
+            return None
+        value = self._next()
+        if value.dtype != np.uint64:
+            scaled = value.astype(float) * 2.0**53
+            assert np.all((scaled == np.floor(scaled)) & (0 <= scaled) & (scaled < 2.0**53)), value
+            value = scaled.astype(np.uint64) << 11
+        assert value.size == size
+        return value.ravel()
 
     def advance(self, delta):
         self.at = 4 * ((-(-self.at // 4) + delta) % 2**256)
 
     def random(self, size=None, out=None):
-        value = np.asarray(self.draws.pop(0), dtype=float)
+        value = self._next().astype(float)
         if out is not None:
             out[...] = value
             value = out
-        self.starts.append(self.at)
-        self.at += value.size
         return value
 
 
@@ -503,7 +620,8 @@ def _script(monkeypatch, *draws) -> _Scripted:
 
 class _Counting:
     """Wraps a block's generator and counts the words its reads take and
-    the calls of its bit generator's ``advance``."""
+    the calls of its bit generator's ``advance``; the words ``_seek``
+    discards are not read."""
 
     def __init__(self, rng):
         self.rng, self.words, self.advances = rng, 0, 0
@@ -512,14 +630,11 @@ class _Counting:
     def bit_generator(self):
         return self
 
-    def random_raw(self, size):
-        return self.rng.bit_generator.random_raw(size)
+    def random_raw(self, size, output=True):
+        if output:
+            self.words += size
+        return self.rng.bit_generator.random_raw(size, output)
 
     def advance(self, delta):
         self.advances += 1
         return self.rng.bit_generator.advance(delta)
-
-    def random(self, size=None, out=None):
-        drawn = self.rng.random(size, out=out)
-        self.words += drawn.size
-        return drawn
