@@ -3,7 +3,8 @@
 Commands: solve, sweep-n, sweep-binary, spread, design, simulate, and repro
 (bundled reference scenarios).  Every command is deterministic given its
 config, so repeated runs produce byte-identical CSVs.  Exit codes: 0 success,
-1 numerical or resource failure, 2 input error.
+1 numerical or resource failure, 2 input error.  It parses configs and
+formats what the library returns, and derives no model quantity itself.
 """
 
 from __future__ import annotations
@@ -24,12 +25,12 @@ import numpy as np
 
 from .equilibrium import (
     SELECTORS,
-    Equilibrium,
     MarketSpec,
     Strategy,
     benchmarks,
     enumerate_chains,
     enumerate_equilibria,
+    outcome_probs,
     select_equilibrium,
 )
 from .errors import MarketModelError, NoEquilibriumFound, SchemaError, ValidationError
@@ -326,11 +327,6 @@ def _write_csvs(out: Path, tables: "dict[str, dict]") -> list[Path]:
     return paths
 
 
-def _trade_probs(spec: MarketSpec, eq: Equilibrium) -> tuple[float, float]:
-    """The probabilities that the asset trades at all in state H and in state L."""
-    return 1.0 - eq.r_H**spec.n, 1.0 - eq.r_L**spec.n
-
-
 def _cmd_solve(config: RunConfig) -> dict:
     # Each column is the Equilibrium attribute of its name.
     names = ("cutoff_index", "mixing_prob", "interim", "r_L", "r_H", "surplus")
@@ -393,6 +389,11 @@ def _cmd_spread(config: RunConfig) -> dict:
     return {"spread": columns}
 
 
+# _design_row's columns, each read off the grid_diagnostics key it maps to.
+_DESIGN_GRID = dict(D="D", threshold_label="threshold_label", mixing_weight="mixing_weight", is_ic="is_ic",
+                    is_irrelevant="is_irrelevant", F="margin", obeyed_surplus="obeyed_surplus")
+
+
 def _design_row(report: GarblingReport) -> dict:
     return {
         "D": report.garbling.D,
@@ -411,18 +412,8 @@ def _cmd_design(config: RunConfig) -> dict:
     market = config.market
     tables = {"design": _design_row(design.optimal_garbling(market))}
     if config.design.emit_grid:
-        # _design_row's columns, read off the grid's diagnostics.
         diag = design.garbling_grid(market, config.design.grid_points)
-        rows, labels = diag["threshold_row"], market.experiment.labels
-        tables["design_grid"] = {
-            "D": diag["D"].tolist(),
-            "threshold_label": [labels[i] for i in rows.tolist()],
-            "mixing_weight": diag["weights"][np.arange(rows.size), rows].tolist(),
-            "is_ic": diag["is_ic"].tolist(),
-            "is_irrelevant": diag["is_irrelevant"].tolist(),
-            "F": diag["margin"].tolist(),
-            "obeyed_surplus": diag["obeyed_surplus"].tolist(),
-        }
+        tables["design_grid"] = {name: diag[key].tolist() for name, key in _DESIGN_GRID.items()}
     return tables
 
 
@@ -468,29 +459,24 @@ def _repro_table2() -> dict:
     columns = {
         "quantity": ["trade_prob_H", "trade_prob_L", "total_surplus"],
         "no_info": [trade_all, trade_all, bench.no_info],
-        "least_selective": [*_trade_probs(spec, least), least.surplus],
-        "most_selective": [*_trade_probs(spec, most), most.surplus],
+        "least_selective": [*outcome_probs(spec, least)[:2], least.surplus],
+        "most_selective": [*outcome_probs(spec, most)[:2], most.surplus],
         "full_info": [1.0, 0.0, bench.full_info],
     }
     return {"table2": columns}
 
 
 def _repro_section8() -> dict:
-    specs = [tight_market(n) for n in range(1, 51)]
-    eqs, trade_H, trade_L, given_trade, given_no_trade = [], [], [], [], []
+    # One experiment at 50 sizes, so enumerate_chains gathers its masses once.
+    market = tight_market()
+    specs = [market.with_n(n) for n in range(1, 51)]
+    eqs = []
     for spec, chain in zip(specs, enumerate_chains(specs)):
-        n = spec.n
         if len(chain) != 1:
-            raise NoEquilibriumFound(f"expected a unique equilibrium at n={n}, found {len(chain)}")
-        eq = chain[0]
-        p_trade_h, p_trade_l = _trade_probs(spec, eq)
-        p_trade = spec.rho * p_trade_h + (1.0 - spec.rho) * p_trade_l
-        p_no = 1.0 - p_trade
-        eqs.append(eq)
-        trade_H.append(p_trade_h)
-        trade_L.append(p_trade_l)
-        given_trade.append(spec.rho * p_trade_h / p_trade if p_trade > 0 else float("nan"))
-        given_no_trade.append(spec.rho * eq.r_H**n / p_no if p_no > 0 else float("nan"))
+            raise NoEquilibriumFound(f"expected a unique equilibrium at n={spec.n}, found {len(chain)}")
+        eqs.append(chain[0])
+    probs = [outcome_probs(spec, eq) for spec, eq in zip(specs, eqs)]
+    trade_H, trade_L, given_trade, given_no_trade = (list(column) for column in zip(*probs))
     columns = {
         "n": [spec.n for spec in specs],
         "cutoff_index": [eq.cutoff_index for eq in eqs],
@@ -510,13 +496,12 @@ def _repro_section8() -> dict:
 
 
 def _repro_modified_example() -> dict:
-    sizes = range(1, 51)
-    chains = enumerate_chains([revealing_market(n) for n in sizes])
+    records = surplus_vs_n(revealing_market(), 50).records
     columns = {
-        "n": list(sizes),
-        "most_selective_surplus": [chain[0].surplus for chain in chains],
-        "least_selective_surplus": [chain[-1].surplus for chain in chains],
-        "closed_form_most": [0.4 * (1.0 - 0.25**n) for n in sizes],
+        "n": [p.n for p in records],
+        "most_selective_surplus": [p.most_selective_surplus for p in records],
+        "least_selective_surplus": [p.least_selective_surplus for p in records],
+        "closed_form_most": [0.4 * (1.0 - 0.25**p.n) for p in records],
     }
     return {"modified_example": columns}
 

@@ -51,7 +51,7 @@ from .equilibrium import (
     interim_from_rejections,
     surplus_from_rejections,
 )
-from .experiment import FiniteExperiment
+from .experiment import FiniteExperiment, _likelihood_ratios
 
 IC_REFINE_TOL = 1e-12
 # Scan points per unit segment of D in ic_intervals, before its boundaries
@@ -123,11 +123,6 @@ def _masses(exp: FiniteExperiment, d: np.ndarray):
     )
 
 
-def _likelihood_ratios(exp: FiniteExperiment) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return exp.p_H_array() / exp.p_L_array()
-
-
 def _check_param(exp: FiniteExperiment, d: float) -> None:
     if not 0.0 <= d <= exp.m:
         raise ParamOutOfRange(f"garbling parameter {d} outside [0, {exp.m}]")
@@ -181,9 +176,11 @@ def grid_diagnostics(spec: MarketSpec, d_values) -> dict[str, np.ndarray]:
     alone, so each point's IC flag and margin are those the searches read.
 
     Returns arrays in grid order keyed ``D``; ``weights`` (accept weight per
-    row), ``threshold_row``; ``accept_L``, ``accept_H``, ``reject_L``,
-    ``reject_H``; ``is_ic``; ``rejection_odds`` and ``finite_margin``,
-    ``margin``, ``is_irrelevant``; and ``obeyed_surplus``.
+    row), ``threshold_row``, and that row's ``threshold_label`` and
+    ``mixing_weight`` (as ``MonotoneBinaryGarbling`` reads them);
+    ``accept_L``, ``accept_H``, ``reject_L``, ``reject_H``; ``is_ic``;
+    ``rejection_odds`` and ``finite_margin``, ``margin``, ``is_irrelevant``;
+    and ``obeyed_surplus``.
 
     A recommendation is IC when obeying it is optimal at the consistent
     interim belief; one never issued imposes no condition.  The finite
@@ -209,10 +206,13 @@ def grid_diagnostics(spec: MarketSpec, d_values) -> dict[str, np.ndarray]:
         _irrelevance_display(spec.rho, spec.c, lr_bottom, lr_bottom, spec.n - 1) >= 0.0
     )
     irrelevant = no_accept | np.where(no_reject, never_reject_ok, finite_margin >= 0.0)
+    rows = _threshold_row(exp.m, d)
     return {
         "D": d,
         "weights": weights,
-        "threshold_row": _threshold_row(exp.m, d),
+        "threshold_row": rows,
+        "threshold_label": np.asarray(exp.labels)[rows],
+        "mixing_weight": np.take_along_axis(weights, rows[:, None], axis=1)[:, 0],
         "accept_L": accept_l,
         "accept_H": accept_h,
         "reject_L": reject_l,

@@ -187,6 +187,17 @@ def _surplus(rho: float, c: float, n, r_L, r_H):
     )
 
 
+def outcome_probs(spec: MarketSpec, eq: Equilibrium) -> tuple[float, float, float, float]:
+    """P(trade | H), P(trade | L), P(H | trade) and P(H | no trade) under ``eq``,
+    where no trade means ``n`` rejections; a conditional is nan where its event has no mass."""
+    unsold_H = eq.r_H**spec.n
+    trade_H, trade_L = 1.0 - unsold_H, 1.0 - eq.r_L**spec.n
+    trade = spec.rho * trade_H + (1.0 - spec.rho) * trade_L
+    given_trade = spec.rho * trade_H / trade if trade > 0 else float("nan")
+    given_no_trade = spec.rho * unsold_H / (1.0 - trade) if 1.0 - trade > 0 else float("nan")
+    return trade_H, trade_L, given_trade, given_no_trade
+
+
 def benchmarks(spec: MarketSpec) -> Benchmarks:
     return Benchmarks(
         full_info=spec.rho * (1.0 - spec.c),

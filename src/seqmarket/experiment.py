@@ -126,6 +126,12 @@ class FiniteExperiment:
         return tuple((o.p_L, o.p_H) for o in self.outcomes)
 
 
+def _likelihood_ratios(exp: FiniteExperiment) -> np.ndarray:
+    """Each outcome's ``p_H / p_L``: +inf, without a warning, where it overflows or ``p_L == 0``."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return exp.p_H_array() / exp.p_L_array()
+
+
 def _ratio_cmp_exact(a: "tuple[float, float]", b: "tuple[float, float]") -> int:
     """Exact likelihood-ratio order of two ``(p_L, p_H)`` pairs of
     nonnegative finite floats.
@@ -358,9 +364,7 @@ def is_garbling_of(coarse: FiniteExperiment, fine: FiniteExperiment) -> bool:
     ``sum_{p_L == 0} p_H`` (at ``lam = 0`` both ``V`` are 1), each with a
     slack of 1e-9.
     """
-    p_l, p_h = fine.p_L_array(), fine.p_H_array()
-    with np.errstate(divide="ignore", over="ignore"):
-        lam = p_h / p_l
+    lam = _likelihood_ratios(fine)
     lam = lam[np.isfinite(lam), None]
     frontier = lambda e: np.maximum(e.p_H_array() - lam * e.p_L_array(), 0.0).sum(axis=1)
     revealing = lambda e: e.p_H_array()[e.p_L_array() == 0.0].sum()

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -145,6 +146,18 @@ class TestCommands:
         assert len(main_row) == 2
         assert len(grid_rows) == 12
         assert float(main_row[1].split(",")[0]) == pytest.approx(25.0 / 29.0, abs=1e-9)
+
+    def test_design_with_a_subnormal_mass_warns_nothing(self, tmp_path, capsys):
+        """An outcome with ``p_L = 1e-310`` has a likelihood ratio that
+        overflows to +inf: a valid market, so the design exits 0 and prints
+        no RuntimeWarning."""
+        experiment = [{"p_L": 1e-310, "p_H": 0.5}, {"p_L": 1.0, "p_H": 0.5}]
+        doc = _doc({"c": 0.4, "n": 3, "experiment": experiment}, design={"emit_grid": True, "grid_points": 11})
+        argv = ["design", "--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "out")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
 
     def test_simulate_with_overrides(self, tmp_path):
         doc = json.loads(json.dumps(DEMO_DOC))

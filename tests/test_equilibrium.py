@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -12,16 +13,20 @@ from hypothesis import strategies as st
 
 from conftest import random_market
 from seqmarket.equilibrium import (
+    INDIFFERENCE_TOL,
     MarketSpec,
     _bisect,
+    _gaps,
     _irrelevance_display,
     Strategy,
     benchmarks,
+    enumerate_chains,
     enumerate_equilibria,
     geometric_sum,
     interim_belief,
     interim_from_rejections,
     is_optimal_against,
+    outcome_probs,
     rejection_probs,
     select_equilibrium,
     total_surplus,
@@ -29,6 +34,7 @@ from seqmarket.equilibrium import (
 from seqmarket.errors import DegeneratePrior, LengthMismatch
 from seqmarket.experiment import binary_experiment_from_labels, build_experiment
 from seqmarket.scenarios import demo_market, revealing_market, tight_market
+from seqmarket.statics import surplus_vs_n
 
 SIGMA_SELECTIVE = Strategy((0.0, 1.0))
 ACCEPT_ALL = Strategy((1.0, 1.0))
@@ -313,3 +319,108 @@ class TestBisect:
         want = [_bisect_one_call_per_step(lambda x: x <= t, a, b, steps, width) for a, b in brackets]
         assert list(zip(lo, hi)) == want
         assert len(calls) <= math.ceil(steps / 6)
+
+
+class TestOutcomeProbs:
+    def test_demo_most_selective(self):
+        spec = demo_market()
+        trade_H, trade_L, _, _ = outcome_probs(spec, select_equilibrium(spec, "most"))
+        assert trade_H == pytest.approx(0.96, abs=1e-12)
+        assert trade_L == pytest.approx(0.36, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 20, 50])
+    def test_revealing_market_closed_forms(self, n):
+        """The most selective buyer trades only on the revealing signal, so a
+        trade happens only in state H and reveals it."""
+        spec = revealing_market(n)
+        trade_H, trade_L, given_trade, given_no_trade = outcome_probs(spec, select_equilibrium(spec, "most"))
+        rho, unsold = spec.rho, 0.25**n
+        assert trade_H == pytest.approx(1.0 - unsold, abs=1e-15)
+        assert trade_L == 0.0
+        assert given_trade == 1.0
+        assert given_no_trade == pytest.approx(rho * unsold / (1.0 - rho * (1.0 - unsold)), rel=1e-12)
+
+    def test_a_conditional_on_an_event_without_mass_is_nan(self):
+        """Accept-all always trades, so 'no trade' has no mass; never-accept
+        never trades, so 'trade' has none."""
+        spec = demo_market()
+        least = select_equilibrium(spec, "least")
+        assert least.strategy == ACCEPT_ALL
+        trade_H, trade_L, given_trade, given_no_trade = outcome_probs(spec, least)
+        assert (trade_H, trade_L, given_trade) == (1.0, 1.0, spec.rho)
+        assert math.isnan(given_no_trade)
+        never = dataclasses.replace(least, strategy=NEVER_ACCEPT, r_L=1.0, r_H=1.0)
+        trade_H, trade_L, given_trade, given_no_trade = outcome_probs(spec, never)
+        assert (trade_H, trade_L, given_no_trade) == (0.0, 0.0, spec.rho)
+        assert math.isnan(given_trade)
+
+
+def _identity_markets() -> "list[MarketSpec]":
+    """300 seeded markets (m = 2-5, n = 1-60), the bundled markets at
+    n = 1..200, and the seeded markets of the goldens."""
+    rng = np.random.default_rng(18)
+    seeded = [random_market(rng, m_choices=(2, 3, 4, 5), n_range=(1, 60)) for _ in range(300)]
+    bundled = [market(n) for market in (demo_market, tight_market, revealing_market) for n in range(1, 201)]
+    golden = [
+        random_market(np.random.default_rng(seed), m_choices=(m,), n_range=sizes)
+        for seed, m, sizes in ((6, 4, (2, 30)), (2, 5, (2, 30)), (8, 5, (6, 6)), (7, 3, (4, 4)))
+    ]
+    return seeded + bundled + golden
+
+
+def test_surplus_is_expected_visits_times_visit_value():
+    """Every equilibrium's surplus is D * V: D = rho G_H + (1 - rho) G_L, the
+    expected number of buyers visited, and V = sum_s sigma_s gap_s(psi), a
+    visited buyer's expected gain at her interim belief psi.  At an
+    equilibrium each accepted outcome's gap is at least -INDIFFERENCE_TOL,
+    so V is too, m times over."""
+    specs = _identity_markets()
+    records = 0
+    for spec, chain in zip(specs, enumerate_chains(specs)):
+        exp = spec.experiment
+        for eq in chain:
+            visits = spec.rho * geometric_sum(eq.r_H, spec.n) + (1.0 - spec.rho) * geometric_sum(eq.r_L, spec.n)
+            gaps = _gaps(spec.c, exp.p_L_array(), exp.p_H_array(), eq.interim)
+            value = float(eq.strategy.as_array() @ gaps)
+            assert abs(visits * value - eq.surplus) <= 1e-12, (spec, eq)
+            assert value >= -exp.m * INDIFFERENCE_TOL, (spec, eq)
+            records += 1
+    assert records > len(specs)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the surplus subtracts two nearly equal terms")
+def test_tight_market_surplus_is_never_negative():
+    """Only the indifferent top signal trades in the tight market, so every
+    record's exact surplus is 0; 114 of the 200 sizes round below it today."""
+    records = surplus_vs_n(tight_market(), 200).records
+    assert all(p.most_selective_surplus >= 0.0 and p.least_selective_surplus >= 0.0 for p in records)
+
+
+_FOLD_MARKET = MarketSpec(
+    0.8805413164202169,
+    0.8564098928310873,
+    10,
+    build_experiment(
+        [
+            (0.44319212, 0.02200998),
+            (0.21115021, 0.01732435),
+            (0.1935895, 0.44041715),
+            (0.10193916, 0.30189217),
+            (0.05012901, 0.21835635),
+        ]
+    ),
+)
+
+
+def test_fold_market_mixing_strategies_are_best_responses():
+    """Cutoff 2 mixing at either root of a tolerance-scale fold of its gap
+    is optimal against its consistent belief: two equilibria beside pure
+    cutoff 2."""
+    for alpha in (0.342306794, 0.342477698):
+        strategy = Strategy((0.0, 0.0, alpha, 1.0, 1.0))
+        assert is_optimal_against(_FOLD_MARKET, strategy, interim_belief(_FOLD_MARKET, strategy))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: both fold roots lie in one grid cell of equal-sign ends")
+def test_fold_market_has_three_equilibria():
+    assert len(enumerate_equilibria(_FOLD_MARKET)) == 3
