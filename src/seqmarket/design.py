@@ -155,16 +155,15 @@ def _ic_mask(spec: MarketSpec, masses) -> np.ndarray:
     )
 
 
-def _finite_margin(spec: MarketSpec, d: np.ndarray, masses) -> tuple[np.ndarray, np.ndarray]:
-    """The rejection odds and the finite irrelevance margin of the garblings
-    with parameters ``d`` and masses ``masses`` (see ``grid_diagnostics``)."""
+def _finite_margin(spec: MarketSpec, lr: np.ndarray, rows: np.ndarray, masses) -> tuple[np.ndarray, np.ndarray]:
+    """The rejection odds and the finite irrelevance margin of garblings
+    with threshold rows ``rows`` and masses ``masses`` (see
+    ``grid_diagnostics``), from the experiment's likelihood ratios ``lr``."""
     _, accept_l, accept_h, reject_l, reject_h = masses
-    lr = _likelihood_ratios(spec.experiment)
     with np.errstate(divide="ignore", invalid="ignore"):
         odds = np.where(
             reject_l + reject_h == 0.0, lr[0], np.where(accept_l + accept_h == 0.0, 1.0, reject_h / reject_l)
         )
-    rows = _threshold_row(spec.experiment.m, d)
     return odds, _irrelevance_display(spec.rho, spec.c, lr[rows], odds, spec.n - 1)
 
 
@@ -197,16 +196,15 @@ def grid_diagnostics(spec: MarketSpec, d_values) -> dict[str, np.ndarray]:
     weights, accept_l, accept_h, reject_l, reject_h = masses
     no_reject = reject_l + reject_h == 0.0
     no_accept = accept_l + accept_h == 0.0
-    odds, finite_margin = _finite_margin(spec, d, masses)
+    lr, rows = _likelihood_ratios(exp), _threshold_row(exp.m, d)
+    odds, finite_margin = _finite_margin(spec, lr, rows, masses)
     # Irrelevance also holds where acceptance is never recommended, and,
     # where rejection never is, only if even n bottom signals leave trade
     # weakly profitable; that clause can disagree with the +inf margin.
-    lr_bottom = _likelihood_ratios(exp)[0]
     never_reject_ok = no_reject.any() and (
-        _irrelevance_display(spec.rho, spec.c, lr_bottom, lr_bottom, spec.n - 1) >= 0.0
+        _irrelevance_display(spec.rho, spec.c, lr[0], lr[0], spec.n - 1) >= 0.0
     )
     irrelevant = no_accept | np.where(no_reject, never_reject_ok, finite_margin >= 0.0)
-    rows = _threshold_row(exp.m, d)
     return {
         "D": d,
         "weights": weights,
@@ -271,14 +269,14 @@ def max_irrelevant_param(spec: MarketSpec) -> float:
     ``D == 0`` always qualifies (acceptance is never recommended there).
     """
     exp = spec.experiment
-    margin = lambda d: _finite_margin(spec, d, _masses(exp, d))
+    lr = _likelihood_ratios(exp)
+    margin = lambda d: _finite_margin(spec, lr, _threshold_row(exp.m, d), _masses(exp, d))
     ends = np.arange(exp.m + 1, dtype=float)
     odds, at_ends = margin(ends)
     # The margin's limit at the left end of segment (seg - 1, seg], which
     # splits row m - seg: that row's likelihood ratio with the rejection
     # odds of the garbling seg - 1.
-    lr_split = _likelihood_ratios(exp)[::-1]
-    left = _irrelevance_display(spec.rho, spec.c, lr_split, odds[:-1], spec.n - 1)
+    left = _irrelevance_display(spec.rho, spec.c, lr[::-1], odds[:-1], spec.n - 1)
     for seg in range(exp.m, 0, -1):
         if at_ends[seg] >= 0.0:
             return float(seg)

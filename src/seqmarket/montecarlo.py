@@ -1,37 +1,49 @@
 """Monte Carlo oracle for the sequential-visit protocol.
 
-Each trial draws the asset quality, one signal and one uniform tie-breaker
-per buyer, and a uniform visit order; the seller visits buyers in that order
-until one accepts (a buyer with signal ``s`` and tie-breaker ``t`` accepts
-iff ``t < sigma(s)``, so ``sigma == 0`` never accepts and ``sigma == 1``
-always does).  Trials are laid out in blocks of ``BLOCK_TRIALS``, each with
-its own counter-derived Philox stream, so results are bit-identical for a
-given configuration regardless of how blocks are scheduled.
+Each trial draws the asset quality, one signal uniform per buyer, and a
+uniform visit order; the seller visits buyers in that order until one
+accepts.  A buyer's signal uniform decides both its outcome ``s`` and,
+where ``0 < sigma(s) < 1``, whether it accepts: it accepts in the top
+``sigma(s)`` share of its outcome's interval, so ``sigma == 0`` never
+accepts and ``sigma == 1`` always does.  Trials are laid out in blocks of
+``BLOCK_TRIALS``, each with its own counter-derived Philox stream, so
+results are bit-identical for a given configuration regardless of how
+blocks are scheduled.
 
 Per block the stream is laid out in one fixed order: the quality of every
-trial, then a ``trials x n`` array each of signal uniforms, tie-breakers and
-(with a focal buyer) visit-order keys.  The kernel reads only the arrays the
-decisions depend on: no signal uniforms when ``sigma`` is the same for every
-outcome, no tie-breakers when every ``sigma`` is 0 or 1, and nothing after
-the qualities when every ``sigma`` is 0.  A skipped array still holds its
-place in the stream: Philox is counter-based, so ``_seek`` jumps to any
-word, back as well as forward, and every draw is the one a read of the
-whole stream would reach there.  The arithmetic after the draws reads no
-further random numbers, so the kernel can be rewritten without moving an
-estimate: ``tests/reference_montecarlo.py`` keeps the earlier kernel, which
-reads every array and sorts the visit order, on the same stream.
+trial, then a ``trials x n`` array each of signal uniforms, a reserved
+region and (with a focal buyer) visit-order keys.  The reserved region held
+the tie-breakers of an earlier kernel; it keeps its place, so the keys keep
+their words and a pure strategy's estimates stay as they were, and no
+decision reads it.  The kernel reads only the arrays the decisions depend
+on: no signal uniforms when every ``sigma`` is 1, and nothing after the
+qualities when every ``sigma`` is 0.  A skipped array still holds its place
+in the stream: Philox is counter-based, so ``_seek`` jumps to any word,
+back as well as forward, and every draw is the one a read of the whole
+stream would reach there.  The arithmetic after the draws reads no further
+random numbers, so the kernel can be rewritten without moving an estimate:
+``tests/reference_montecarlo.py`` keeps a plain kernel, which reads every
+array, forms each buyer's outcome and sorts the visit order, on the same
+stream.
 
 *Signals.*  A buyer with signal uniform ``u`` in state ``theta`` gets outcome
-``min(#{j : cum_theta[j] < u}, m - 1)``, where ``cum_theta`` is the running sum
-of that state's masses; the clip covers a sum that ends below 1.  The kernel
-never forms the outcome.  With ``t`` the buyer's tie-breaker, it starts from
-the decision ``t < sigma[m - 1]`` and walks the threshold chain
-``j = m - 2, ..., 0``, replacing the decision by ``t < sigma[j]`` where
-``u <= cum_theta[j]``; the last replacement is the outcome's own.  Steps with
-``sigma[j] == sigma[j + 1]`` change nothing and are skipped, so a cutoff
-strategy takes at most two.  For a pure strategy every step flips the
-decision, and the masks ``u <= cum_theta[j]`` are nested, so the decision is
-the top outcome's flipped once per mask that holds: no tie-breaker is read.
+``s = min(#{j : cum_theta[j] < u}, m - 1)``, where ``cum_theta`` is the
+running sum of that state's masses; the clip covers a sum that ends below 1.
+So outcome ``s`` takes the interval ``(lo, hi] = (cum_theta[s - 1],
+cum_theta[s]]``, from 0 for the bottom outcome and to 1 for the top one.
+Where ``u`` lies inside that interval is itself uniform and independent of
+the outcome (Devroye, *Non-Uniform Random Variate Generation*, 1986, ch. 2),
+so it serves as the tie-breaker: the buyer accepts iff
+``u > x_s = hi - sigma[s] * (hi - lo)``.
+
+The kernel never forms the outcome.  Per state, the words that accept are a
+union of intervals, and a buyer's decision is the top outcome's
+(``sigma[m - 1] > 0``) flipped once per breakpoint ``b`` with ``u <= b``.
+The breakpoints are each mixing outcome's ``x_s`` and each boundary
+``cum_theta[s]`` where the decision at the top of outcome ``s``
+(``sigma[s] > 0``) differs from the one at the bottom of outcome ``s + 1``
+(``sigma[s + 1] == 1``).  A cutoff strategy has one breakpoint; for a pure
+strategy they are the boundaries where ``sigma`` changes.
 
 *Visit order.*  The focal buyer is reached when no buyer whose order key is
 smaller than the focal buyer's accepts.  A buyer whose key equals the focal
@@ -46,11 +58,10 @@ them with bounds that ``simulate`` computes once per call.
 
 - quality: ``u < rho`` iff ``w < ceil(rho * 2**53) << 11``, every word at
   rho = 1;
-- signal: ``u <= cum`` iff
-  ``w <= (min(floor(cum * 2**53), 2**53 - 1) << 11) | 0x7FF``, which also
-  covers a cumulative sum that ends an ulp above or below 1;
-- tie-breaker: ``t < sigma`` iff ``w < ceil(sigma * 2**53) << 11``, no word
-  at sigma = 0 and every word at sigma = 1;
+- signal: ``u <= b`` for a breakpoint ``b`` iff
+  ``w <= (min(floor(b * 2**53), 2**53 - 1) << 11) | 0x7FF``, which also
+  covers a cumulative sum that ends an ulp above or below 1; the mixing
+  test ``u > x_s`` is its negation, and no word tests a tie-breaker;
 - visit order: ``u_i < u_f`` iff ``w_i < (w_f & ~0x7FF)``, so words equal
   after ``>> 11`` stay a tie.
 
@@ -72,19 +83,20 @@ raises the error of the lowest-numbered failing block; an interrupt in the
 caller's own blocks stops them too.  No thread outlives the call.
 
 *Memory.*  A block is decided a chunk of rows at a time: for each chunk it
-seeks to that chunk's rows of the signal uniforms, then of the
-tie-breakers, then of the visit-order keys, and reads the words of each it
-needs, dropping one before it reads the next.  A chunk holds at most
-``CHUNK_CELLS`` cells (1 MiB of words), or one row when a row is longer; a
-one-chunk block seeks only past an array it skips.  The signal words
-become one boolean mask per chain step, and all a chunk computes stays in
-the chunk.  So a worker holds one chunk of words and its masks, 1.1 MiB
-with one step at any n up to ``CHUNK_CELLS``, plus the block's arrays of
-one value per trial; above that, one row of n words and a row mask per
-step.  ``random_raw`` allocates each chunk of words as it is read.
+seeks to that chunk's rows of the signal uniforms, then of the visit-order
+keys, and reads the words of each it needs, dropping one before it reads
+the next.  A chunk holds at most ``CHUNK_CELLS`` cells (1 MiB of words), or
+one row when a row is longer; a one-chunk block seeks only past an array
+it skips, the reserved region included.  The signal words become one
+boolean decision mask, and, with two or more breakpoints, a second mask
+holds each breakpoint's test in turn; all a chunk computes stays in the
+chunk.  So a worker holds one chunk of words and at most two masks, 1.1
+MiB with one breakpoint at any n up to ``CHUNK_CELLS``, plus the block's
+arrays of one value per trial; above that, one row of n words and at most
+two row masks.  ``random_raw`` allocates each chunk of words as it is read.
 ``simulate`` allocates every worker's masks before the first block, so a
 config whose masks cannot be allocated fails at once, and frees them
-before it returns.  A strategy without chain steps has no masks: a row of
+before it returns.  A strategy without breakpoints has no masks: a row of
 words too large to allocate fails in the first block that reads one,
 once its qualities are drawn.  The per-block results take 7 floats, 56
 bytes, per block: 3.5 KB for a million trials.
@@ -229,14 +241,34 @@ def _less(words: np.ndarray, bound: int) -> np.ndarray:
     return words < np.uint64(bound) if bound < 2**64 else np.ones(words.shape, dtype=bool)
 
 
+def _breakpoints(sigma: list[float], cum: list[list[float]]) -> np.ndarray:
+    """The word bounds of the signal uniforms at which a buyer's decision
+    flips, one row per point and one column per state (Low, High): outcome
+    ``s``'s position ``x_s`` where ``0 < sigma[s] < 1``, and the boundary
+    ``cum[s]`` where ``(sigma[s] > 0) != (sigma[s + 1] == 1)``.  ``cum``
+    holds each state's cumulative masses; outcome ``s`` takes the interval
+    ``(cum[s - 1], cum[s]]``, which starts at 0 for the bottom outcome and
+    ends at 1 for the top one.  The flip count needs the points in outcome
+    order, and they are: for ``lo <= hi`` and ``0 < sigma < 1``, the
+    rounded ``hi - sigma * (hi - lo)`` lies in ``[lo, hi]``, as
+    ``fl(hi - lo)`` rounds up by at most half the gap that
+    ``sigma <= 1 - 2**-53`` leaves below it."""
+    m = len(sigma)
+    points = []
+    for s, a in enumerate(sigma):
+        if 0.0 < a < 1.0:
+            ends = [(row[s - 1] if s else 0.0, row[s] if s < m - 1 else 1.0) for row in cum]
+            points.append([hi - a * (hi - lo) for lo, hi in ends])
+        if s < m - 1 and (a > 0.0) != (sigma[s + 1] == 1.0):
+            points.append([row[s] for row in cum])
+    return np.array([[_at_most(x) for x in point] for point in points], dtype=np.uint64).reshape(-1, len(cum))
+
+
 def _block_sums(
     spec: MarketSpec,
     rho_bound: int,
-    signal_bounds: np.ndarray,
-    tie_bounds: list[int],
-    sigma: np.ndarray,
-    steps: list[int],
-    mixing: bool,
+    breakpoints: np.ndarray,
+    top: bool,
     focal: int | None,
     seed: int,
     trials: int,
@@ -248,14 +280,15 @@ def _block_sums(
     visits of the focal buyer, all and in the High state.  The block is
     decided a chunk of rows at a time (one row per trial, one column per
     buyer): each chunk's rows of the arrays the decisions read are read as
-    raw words, the others skipped, and ``masks`` holds the chunk's signal
-    masks, one per chain step, of ``masks.shape[1]`` rows."""
+    raw words, the others skipped, and ``masks`` holds the chunk's decision
+    and, with two or more breakpoints, one breakpoint's test, of
+    ``masks.shape[1]`` rows."""
     size = min(BLOCK_TRIALS, trials - block * BLOCK_TRIALS)
     rng = _block_rng(seed, block)
     raw = rng.bit_generator.random_raw
     theta_high = _less(raw(size), rho_bound)
     n_high = np.count_nonzero(theta_high)
-    if not sigma.any():
+    if not top and not len(breakpoints):
         # Nobody accepts: no trade, and the focal buyer is always reached.
         return (n_high, 0, 0, 0.0, 0.0, *((size, n_high) if focal is not None else (0, 0)))
 
@@ -266,42 +299,26 @@ def _block_sums(
     cells = size * n
     at = size  # the next word of the stream
     # Filled chunk by chunk, unless every sigma is 1 and everybody trades.
-    trade = np.empty(size, dtype=bool) if steps or mixing else np.ones(size, dtype=bool)
+    trade = np.empty(size, dtype=bool) if len(breakpoints) else np.ones(size, dtype=bool)
     visits = visits_high = 0
     for a in range(0, size, masks.shape[1]):
         b = min(a + masks.shape[1], size)
-        below = masks[:, : b - a]
+        decided = None  # everybody accepts
         # Each chunk of words is dropped once read, so that one is live.
-        if steps:
+        if len(breakpoints):
             _seek(rng, at, size + a * n)
             words = raw((b - a) * n).reshape(-1, n)
             at = size + b * n
-            for j, below_j in zip(steps, below):
-                np.less_equal(words, signal_bounds[j].take(state[a:b])[:, None], out=below_j)
+            # The top outcome's decision, flipped once per breakpoint at or
+            # above the word.  When the top outcome accepts, the first flip
+            # is taken by testing the first breakpoint the other way round.
+            decided, flip = masks[0, : b - a], masks[-1, : b - a]
+            first = np.greater if top else np.less_equal
+            first(words, breakpoints[0].take(state[a:b])[:, None], out=decided)
+            for bound in breakpoints[1:]:
+                np.less_equal(words, bound.take(state[a:b])[:, None], out=flip)
+                decided ^= flip
             del words
-        if mixing:
-            _seek(rng, at, size + cells + a * n)
-            words = raw((b - a) * n).reshape(-1, n)
-            at = size + cells + b * n
-            # The threshold chain on accept decisions; the xor form of
-            # ``where(below, t < sigma[j], decided)`` runs without branches.
-            decided = _less(words, tie_bounds[-1])
-            for j, below_j in zip(steps, below):
-                decided ^= (_less(words, tie_bounds[j]) ^ decided) & below_j
-            del words
-        elif steps:
-            # A pure strategy decides without tie-breakers, and each step
-            # flips the decision.  The masks are nested, so a buyer's
-            # decision is the top outcome's flipped once per mask that
-            # holds.
-            decided = below[0]
-            for below_j in below[1:]:
-                decided ^= below_j
-            if sigma[-1]:
-                np.logical_not(decided, out=decided)
-        else:
-            decided = None  # everybody accepts
-        if decided is not None:
             _any_rows(decided, trade[a:b])
         if focal is not None:
             _seek(rng, at, size + 2 * cells + a * n)
@@ -341,30 +358,21 @@ def simulate(spec: MarketSpec, strategy: Strategy, config: SimConfig) -> SimEsti
 
     trials = config.trials
     sigma = strategy.as_array()
-    steps = [j for j in range(spec.experiment.m - 2, -1, -1) if sigma[j] != sigma[j + 1]]
-    mixing = bool(((0.0 < sigma) & (sigma < 1.0)).any())
-    # Cumulative signal masses, one row per outcome, Low then High.
-    cum = np.cumsum([spec.experiment.p_L_array(), spec.experiment.p_H_array()], axis=1).T
+    # Cumulative signal masses, one row per state, Low then High.
+    cum = np.cumsum([spec.experiment.p_L_array(), spec.experiment.p_H_array()], axis=1)
+    breakpoints = _breakpoints(sigma.tolist(), cum.tolist())
     run = partial(
-        _block_sums,
-        spec,
-        _below(spec.rho),
-        np.array([[_at_most(x) for x in row] for row in cum.tolist()], dtype=np.uint64),
-        [_below(x) for x in sigma.tolist()],
-        sigma,
-        steps,
-        mixing,
-        focal,
-        config.seed,
-        trials,
+        _block_sums, spec, _below(spec.rho), breakpoints, bool(sigma[-1] > 0.0), focal, config.seed, trials
     )
     blocks = -(-trials // BLOCK_TRIALS)
     workers = min(_worker_count(), blocks)
 
-    # One mask per chain step, of a chunk's rows, allocated before the
-    # first block so that masks too large to allocate fail at once.  The
-    # words are allocated by ``random_raw`` in the worker that reads them.
-    masks = np.empty((workers, len(steps), min(_chunk_rows(spec.n), BLOCK_TRIALS, trials), spec.n), dtype=bool)
+    # A chunk's decision mask and, with two or more breakpoints, one
+    # breakpoint's test, allocated before the first block so that masks
+    # too large to allocate fail at once.  The words are allocated by
+    # ``random_raw`` in the worker that reads them.
+    rows = min(_chunk_rows(spec.n), BLOCK_TRIALS, trials)
+    masks = np.empty((workers, min(len(breakpoints), 2), rows, spec.n), dtype=bool)
     # One row of counts and sums per block; a count is at most
     # ``BLOCK_TRIALS``, so float64 holds it exactly.
     results = np.empty((blocks, 7))

@@ -1,13 +1,17 @@
-"""The Monte Carlo block kernel as it was before the threshold chain, kept
-as the test reference.
+"""The Monte Carlo block kernel in plain per-outcome form, kept as the
+test reference.
 
 Per block it reads every array of the stream layout that
-``seqmarket.montecarlo`` uses, including those the package kernel skips, then
-finds each buyer's signal from a ``size x n x m`` comparison against the
-cumulative masses and decides whether the focal buyer is reached by sorting
-the visit order.  A buyer accepts iff its tie-breaker is strictly below
-sigma.  It is slower but plain, and the package kernel must reproduce its
-estimates exactly.
+``seqmarket.montecarlo`` uses, including those the package kernel skips (the
+reserved region included, which no decision reads), then finds each
+buyer's signal from a ``size x n x m`` comparison against the cumulative
+masses and decides whether the focal buyer is reached by sorting the visit
+order.  A buyer whose signal uniform ``u`` falls in outcome ``s``, the
+interval ``(lo, hi]`` of its state's cumulative masses (the top one ending
+at 1), accepts iff ``sigma[s] == 1``, or ``0 < sigma[s] < 1`` and
+``u > hi - sigma[s] * (hi - lo)``: it accepts in the top ``sigma[s]`` share
+of the interval.  It is slower but plain, and the package kernel must
+reproduce its estimates exactly.
 """
 
 from __future__ import annotations
@@ -41,6 +45,14 @@ def simulate(spec: MarketSpec, strategy: Strategy, config: SimConfig) -> SimEsti
     cum_l = np.cumsum(spec.experiment.p_L_array())
     cum_h = np.cumsum(spec.experiment.p_H_array())
     m = spec.experiment.m
+    mixing = (0.0 < sigma) & (sigma < 1.0)
+
+    def positions(cum: np.ndarray) -> np.ndarray:
+        """Each outcome's acceptance position in one state."""
+        lo, hi = np.append(0.0, cum[:-1]), np.append(cum[:-1], 1.0)
+        return hi - sigma * (hi - lo)
+
+    x_l, x_h = positions(cum_l), positions(cum_h)
 
     n_high = 0
     n_trade_high = 0
@@ -57,7 +69,7 @@ def simulate(spec: MarketSpec, strategy: Strategy, config: SimConfig) -> SimEsti
         rng = _block_rng(config.seed, block)
         theta_high = rng.random(size) < spec.rho
         sig_u = rng.random((size, n))
-        tie_u = rng.random((size, n))
+        rng.random((size, n))  # the reserved region
         if focal is not None:
             order_u = rng.random((size, n))
 
@@ -66,7 +78,8 @@ def simulate(spec: MarketSpec, strategy: Strategy, config: SimConfig) -> SimEsti
         signals = np.minimum(
             (sig_u[:, :, None] > cum[:, None, :]).sum(axis=2), m - 1
         )
-        accepts = tie_u < sigma[signals]
+        x = np.where(theta_high[:, None], x_h[signals], x_l[signals])
+        accepts = np.where(mixing[signals], sig_u > x, sigma[signals] == 1.0)
         trade = accepts.any(axis=1)
 
         n_high += int(theta_high.sum())

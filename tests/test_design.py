@@ -258,12 +258,16 @@ class TestStructuralInvariants:
                 np.testing.assert_array_equal(columns[key], column, err_msg=f"{key} {spec}")
             masses = design._masses(exp, grid)
             np.testing.assert_array_equal(design._ic_mask(spec, masses), diag["is_ic"])
-            odds, margin = design._finite_margin(spec, grid, masses)
+            lr = design._likelihood_ratios(exp)
+            odds, margin = design._finite_margin(spec, lr, design._threshold_row(exp.m, grid), masses)
             np.testing.assert_array_equal(odds, diag["rejection_odds"])
             np.testing.assert_array_equal(margin, diag["finite_margin"])
             one_point = [design._masses(exp, [d]) for d in grid]
             np.testing.assert_array_equal([design._ic_mask(spec, x)[0] for x in one_point], diag["is_ic"])
-            margins = [design._finite_margin(spec, [d], x)[1][0] for d, x in zip(grid, one_point)]
+            margins = [
+                design._finite_margin(spec, lr, design._threshold_row(exp.m, [d]), x)[1][0]
+                for d, x in zip(grid, one_point)
+            ]
             np.testing.assert_array_equal(margins, diag["finite_margin"])
             for d, surplus in zip(grid, columns["obeyed_surplus"]):
                 assert report_at(spec, float(d)).obeyed_surplus == surplus

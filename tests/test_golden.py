@@ -11,9 +11,10 @@ an explicit non-monotone strategy, and trial counts whose last block of
 is the one cell compared with a tolerance (``F_TOL`` relative, or absolute
 below 1): it is a product of odds whose last digits depend on the order of
 its factors.  To write them afresh (only when an output change is intended
-and documented):
+and documented), all of them or only the named ones:
 
     PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py simulate_tight50.csv ...
 """
 
 from __future__ import annotations
@@ -155,8 +156,12 @@ def test_golden_bytes(tmp_path, name):
 if __name__ == "__main__":
     import tempfile
 
+    names = sys.argv[1:] or sorted(CASES)
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        sys.exit(f"unknown golden cases: {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
-    for name in sorted(CASES):
+    for name in names:
         with tempfile.TemporaryDirectory() as tmp:
             (GOLDEN / name).write_bytes(_run(name, Path(tmp)))
         print(GOLDEN / name)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 import sys
 import threading
@@ -128,6 +129,40 @@ class TestOracleAgreement:
         assert_within(est.interim_estimate, interim_belief(spec, sigma), est.interim_se)
 
 
+def _family_case(index: int) -> tuple[MarketSpec, Strategy, int]:
+    """A seeded market with m = 2..5 and n = 1..12, a strategy whose entries
+    are exactly 0, exactly 1 or mixing, in any order, and a focal buyer."""
+    rng = np.random.default_rng(400 + index)
+    spec = random_market(rng, m_choices=(2, 3, 4, 5), n_range=(1, 12))
+    kinds = rng.integers(0, 3, size=spec.experiment.m)
+    accept = [(0.0, 1.0, float(rng.uniform(0.05, 0.95)))[k] for k in kinds]
+    return spec, Strategy(tuple(accept)), int(rng.integers(spec.n))
+
+
+class TestStatisticalFamily:
+    """Random markets and strategies, each estimate within 4 standard errors
+    of the closed forms."""
+
+    @pytest.mark.parametrize("index", range(24))
+    def test_estimates_match_the_closed_forms(self, index):
+        """A trade probability near 1 is often estimated as exactly 1, whose
+        binomial standard error is 0; its band uses the exact probability's
+        standard error over the state's expected trials when that is
+        larger."""
+        spec, sigma, focal = _family_case(index)
+        trials = 200_000
+        est = simulate(spec, sigma, SimConfig(trials=trials, seed=500 + index, focal_buyer=focal))
+        r_l, r_h = rejection_probs(spec, sigma)
+        for value, se, r, share in (
+            (est.trade_prob_H, est.trade_prob_H_se, r_h, spec.rho),
+            (est.trade_prob_L, est.trade_prob_L_se, r_l, 1.0 - spec.rho),
+        ):
+            p = 1.0 - r**spec.n
+            assert_within(value, p, max(se, math.sqrt(p * (1.0 - p) / (share * trials))), 4.0)
+        assert_within(est.surplus, total_surplus(spec, sigma), est.surplus_se, 4.0)
+        assert_within(est.interim_estimate, interim_belief(spec, sigma), est.interim_se, 4.0)
+
+
 def _fields(est) -> tuple:
     """The estimate's fields, NaN spelled out so that ``==`` is exact equality."""
     return tuple("nan" if isinstance(v, float) and math.isnan(v) else v for v in dataclasses.astuple(est))
@@ -139,6 +174,10 @@ ONE_ULP_SHORT = build_experiment([(0.7, 0.1), (0.2, 0.3), (0.1, 0.6)])
 # so one signal uniform in ten lies beyond the last cumulative mass and the
 # signal is clipped to the top outcome.
 MASS_DEFICIT = FiniteExperiment((Outcome(0.375, 0.5, 0.3), Outcome(0.6, 0.4, 0.6)))
+
+# Low-state masses 0.75 and 0.25: every outcome end and mixing position
+# below is a multiple of 2**-53.
+QUARTERS = MarketSpec(0.5, 0.2, 1, build_experiment([(0.75, 0.25), (0.25, 0.75)]))
 
 # (market, strategy, focal buyers): each runs with and without a focal buyer.
 EQUIVALENCE_CASES = {
@@ -238,9 +277,9 @@ class TestReferenceKernel:
         Keys are compared as the floats numpy would draw, so two words that
         differ only in their low 11 bits are equal keys: a kernel comparing
         whole words would put buyer 0 first when only the focal buyer's low
-        bits are set.  Everybody accepts, so the signal uniforms and
-        tie-breakers, two words per buyer, are skipped: the order keys are
-        read from word 1 + 2n."""
+        bits are set.  Everybody accepts, so the signal uniforms and the
+        reserved region, two words per buyer, are skipped: the order keys
+        are read from word 1 + 2n."""
         rng = _script(monkeypatch, [0.0], keys)
         est = simulate(demo_market(), Strategy((1.0, 1.0)), SimConfig(trials=1, seed=0, focal_buyer=1))
         assert (est.interim_estimate == 1.0) if reached else math.isnan(est.interim_estimate)
@@ -256,16 +295,32 @@ class TestReferenceKernel:
         assert est.trade_prob_L == float(trades)
         assert rng.draws == [] and rng.starts == [0, 1]
 
+    @pytest.mark.parametrize(
+        "u, trades",
+        [
+            pytest.param(0.0, False, id="lowest"),
+            pytest.param(0.75, False, id="top_of_0"),
+            pytest.param(0.75 + 2**-53, False, id="bottom_of_1"),
+            pytest.param(0.875, False, id="at_x1"),
+            pytest.param(0.875 + 2**-53, True, id="above_x1"),
+            pytest.param(1.0 - 2**-53, True, id="highest"),
+        ],
+    )
     @pytest.mark.parametrize("kernel", [simulate, reference_simulate], ids=["kernel", "reference"])
-    def test_a_zero_tie_breaker_does_not_accept_at_sigma_zero(self, monkeypatch, kernel):
-        """A buyer accepts iff its tie-breaker is strictly below sigma, so the
-        rejected outcome 0 stays rejected even for a tie-breaker of 0.0."""
-        rng = _script(monkeypatch, [0.9], [[0.125]], [[0.0]])
+    def test_a_word_accepts_above_its_position(self, monkeypatch, kernel, u, trades):
+        """A buyer accepts iff its signal uniform lies strictly above its
+        outcome's position ``hi - sigma * (hi - lo)``.  In the Low state of
+        ``QUARTERS`` outcome 0 is [0, 0.75], rejected at sigma = 0 even at
+        the lowest word, and outcome 1 is (0.75, 1], whose position at
+        sigma = 0.5 is 0.875: the word at 0.875 rejects, the next accepts.
+        The kernel reads the quality and the signal word; the reference
+        reads the reserved region's word too."""
+        rng = _script(monkeypatch, [0.9], [[u]], [[0.0]])
         # The reference reads the same three scripted arrays.
         monkeypatch.setattr(reference_montecarlo, "_block_rng", montecarlo._block_rng)
-        est = kernel(demo_market(n=1), Strategy((0.0, 0.5)), SimConfig(trials=1, seed=0))
-        assert est.trade_prob_L == 0.0
-        assert rng.draws == []
+        est = kernel(QUARTERS, Strategy((0.0, 0.5)), SimConfig(trials=1, seed=0))
+        assert est.trade_prob_L == float(trades)
+        assert rng.starts == ([0, 1] if kernel is simulate else [0, 1, 2])
 
 
 def _float(word: int) -> float:
@@ -275,9 +330,9 @@ def _float(word: int) -> float:
 
 def _assert_word_rules(x: float, words: list[int]) -> None:
     """Each integer rule of the kernel decides ``words`` as the float test
-    it replaces decides their floats: the quality and tie-breaker test
-    ``u < x`` for x in [0, 1] (rho or a sigma), the signal test
-    ``u <= x`` (x a cumulative mass, which may end above 1), and the
+    it replaces decides their floats: the quality test ``u < x`` for x in
+    [0, 1], the signal test ``u <= x`` (x a breakpoint: a position in
+    [0, 1] or a cumulative mass, which may end above 1), and the
     visit-order test ``u_i < u_f`` with each word as the focal key."""
     w = np.array(words, dtype=np.uint64)
     u = [_float(word) for word in words]
@@ -307,6 +362,22 @@ BOUNDARY_XS = sorted(
     | {float(np.nextafter(x, 0.0)) for x in _MULTIPLES}
     | {float(np.nextafter(x, 2.0)) for x in _MULTIPLES}
 )
+
+
+# (market, strategy) for one buyer: a cutoff, non-monotone strategies, zero
+# masses in one state, one outcome, and cumulative masses that end below 1.
+BREAKPOINT_CASES = {
+    "cutoff": (tight_market(1), (0.0, 0.65)),
+    "cutoff_m3": (MarketSpec(0.35, 0.4, 1, ONE_ULP_SHORT), (0.0, 0.3, 1.0)),
+    "non_monotone": (MarketSpec(0.6, 0.5, 1, ONE_ULP_SHORT), (0.7, 0.0, 1.0)),
+    "non_monotone_mixing": (MarketSpec(0.6, 0.5, 1, ONE_ULP_SHORT), (0.4, 1.0, 0.3)),
+    "zero_high_mass_bottom": (MarketSpec(0.5, 0.2, 1, build_experiment([(0.5, 0.0), (0.5, 1.0)])), (0.3, 0.8)),
+    "zero_low_mass_top": (revealing_market(1), (0.4, 0.7)),
+    "m1_mixing": (MarketSpec(0.4, 0.3, 1, build_experiment([(1.0, 1.0)])), (0.45,)),
+    "one_ulp_short": (MarketSpec(0.35, 0.4, 1, ONE_ULP_SHORT), (0.25, 0.5, 0.75)),
+    "mass_deficit": (MarketSpec(0.5, 0.3, 1, MASS_DEFICIT), (0.2, 0.9)),
+    "quarters": (QUARTERS, (0.5, 0.5)),
+}
 
 
 class TestWordRules:
@@ -347,6 +418,61 @@ class TestWordRules:
     def test_rules_on_drawn_values(self, x, words):
         _assert_word_rules(x, words)
 
+    @seed(32)
+    @settings(max_examples=500, deadline=None)
+    @given(
+        ends=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).map(sorted),
+        sigma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True) | st.just(1.0 - 2.0**-53),
+    )
+    def test_a_position_lies_in_its_interval(self, ends, sigma):
+        """The breakpoints stay in outcome order, which the flip count
+        needs, because the rounded position of a mixing outcome never
+        leaves its interval."""
+        lo, hi = ends
+        assert lo <= hi - sigma * (hi - lo) <= hi
+
+    @pytest.mark.parametrize("name", sorted(BREAKPOINT_CASES))
+    def test_words_at_each_position_and_boundary(self, monkeypatch, name):
+        """One buyer, in each state, on the words at and next to each
+        outcome's position ``x_s`` and each cumulative mass ``cum_s``: the
+        kernel's chain of breakpoints decides each word as the reference's
+        per-outcome rule decides its float."""
+        spec, accept = BREAKPOINT_CASES[name]
+        sigma = np.asarray(accept)
+        for high, cum in ((False, spec.experiment.p_L_array()), (True, spec.experiment.p_H_array())):
+            cum = np.cumsum(cum)
+            lo, hi = np.append(0.0, cum[:-1]), np.append(cum[:-1], 1.0)
+            points = {*(hi - sigma * (hi - lo)).tolist(), *cum.tolist()}
+            for word in sorted({w for x in points for w in _words_around(x)}):
+                decisions = [
+                    _trades(monkeypatch, kernel, spec, accept, high, draw)
+                    for kernel, draw in ((simulate, np.uint64(word)), (reference_simulate, _float(word)))
+                ]
+                assert decisions[0] == decisions[1], (high, hex(word))
+
+    @pytest.mark.parametrize("name", sorted(EQUIVALENCE_CASES))
+    def test_pure_strategies_keep_the_signal_bounds(self, name):
+        """For sigma in {0, 1} the breakpoints are the cumulative masses
+        where sigma changes, each state's ``random() <= cum`` bound: the
+        threshold chain of a pure strategy is unchanged."""
+        exp = EQUIVALENCE_CASES[name][0].experiment
+        cum = np.cumsum([exp.p_L_array(), exp.p_H_array()], axis=1).tolist()
+        for sigma in itertools.product((0.0, 1.0), repeat=exp.m):
+            bounds = [[montecarlo._at_most(row[j]) for row in cum] for j in range(exp.m - 1) if sigma[j] != sigma[j + 1]]
+            assert montecarlo._breakpoints(list(sigma), cum).tolist() == bounds, sigma
+
+
+def _trades(monkeypatch, kernel, spec, accept, high, signal) -> bool:
+    """Whether one buyer playing ``accept`` trades in one trial of the
+    state High (``high``) or Low, on the signal uniform ``signal``: a raw
+    word for the kernel, a float for the reference.  The reference's
+    reserved word is never read by its decision."""
+    rng = _Scripted([0.0 if high else 1.0 - 2.0**-53], np.array([[signal]]), [[0.0]])
+    for module in (montecarlo, reference_montecarlo):
+        monkeypatch.setattr(module, "_block_rng", lambda seed, block: rng)
+    est = kernel(spec, Strategy(accept), SimConfig(trials=1, seed=0))
+    return (est.trade_prob_H if high else est.trade_prob_L) == 1.0
+
 
 class TestSkippedDraws:
     """A block skips the arrays its decisions do not read, and every later
@@ -376,32 +502,35 @@ class TestSkippedDraws:
             ((0.0, 0.0), 1, 0),
             ((1.0, 1.0), None, 0),  # everybody accepts
             ((1.0, 1.0), 1, 1),  # the visit-order keys
-            ((0.0, 1.0), None, 1),  # pure: the signal uniforms, no tie-breakers
+            ((0.0, 1.0), None, 1),  # pure: the signal words
             ((0.0, 1.0), 1, 2),
-            ((0.45, 0.45), 1, 2),  # one sigma: the tie-breakers, no signal uniforms
-            ((0.0, 0.6), None, 2),  # mixing: everything, as before the skips
-            ((0.0, 0.6), 1, 3),
+            ((0.45, 0.45), 1, 2),  # one sigma: the signal words too
+            ((0.0, 0.6), None, 1),  # mixing: the signal words, as a pure strategy
+            ((0.0, 0.6), 1, 2),
         ],
         ids=str,
     )
     def test_words_read_per_block(self, monkeypatch, accept, focal, arrays):
         """Counts the words each block reads: the ``size`` qualities and
-        ``arrays`` arrays of ``size x n``."""
+        ``arrays`` arrays of ``size x n``, none in the reserved region."""
         _assert_words_read(monkeypatch, demo_market(3), accept, focal, arrays)
 
     def test_words_read_per_block_in_chunks(self, monkeypatch):
         """At n = 20 a chunk holds 6553 trials, so a full block reads each
-        of its three arrays in three chunks."""
+        of its two arrays, the signal words and the visit-order keys, in
+        three chunks."""
         assert 2 * montecarlo._chunk_rows(20) < montecarlo.BLOCK_TRIALS < 3 * montecarlo._chunk_rows(20)
-        _assert_words_read(monkeypatch, demo_market(20), (0.0, 0.6), 1, 3)
+        _assert_words_read(monkeypatch, demo_market(20), (0.0, 0.6), 1, 2)
 
     def test_a_one_chunk_block_reads_without_seeking(self, monkeypatch):
         """At n <= 8 a block reads each array in one chunk, from where the
-        last one ended, so a block that reads every array never calls
-        ``advance``."""
-        read = _assert_words_read(monkeypatch, demo_market(8), (0.0, 0.6), 1, 3)
+        last one ended: a mixing block without a focal buyer never calls
+        ``advance``, and one with a focal buyer calls it once, to skip the
+        reserved region."""
         assert montecarlo._chunk_rows(8) == montecarlo.BLOCK_TRIALS
-        assert [rng.advances for rng in read.values()] == [0, 0]
+        for focal, advances in ((None, 0), (1, 1)):
+            read = _assert_words_read(monkeypatch, demo_market(8), (0.0, 0.6), focal, 1 + (focal is not None))
+            assert [rng.advances for rng in read.values()] == [advances, advances]
 
 
 def _assert_words_read(monkeypatch, spec, accept, focal, arrays) -> dict:
@@ -419,6 +548,10 @@ def _assert_words_read(monkeypatch, spec, accept, focal, arrays) -> dict:
     assert {block: rng.words for block, rng in read.items()} == {
         block: size * (1 + arrays * spec.n) for block, size in sizes.items()
     }
+    for block, size in sizes.items():
+        # The reserved region, between the signal words and the keys.
+        reserved = (size * (1 + spec.n), size * (1 + 2 * spec.n))
+        assert all(end <= reserved[0] or reserved[1] <= start for start, end in read[block].reads), block
     assert _fields(estimate) == _fields(reference_simulate(spec, strategy, config))
     return read
 
@@ -459,15 +592,15 @@ def test_wide_markets_equal_the_reference_in_chunks(monkeypatch, name, focal, bu
 def test_a_block_holds_one_chunk_of_floats(monkeypatch, accept, focal, n):
     """One full block of the tight market, whose ``BLOCK_TRIALS x n``
     array of words would take 26.2 MB at n = 200, holds the same memory at
-    either n: one chunk of words (``8 * CHUNK_CELLS`` bytes, 1 MiB), one
-    chunk mask per chain step (``CHUNK_CELLS`` bytes each), and arrays of
+    either n: one chunk of words (``8 * CHUNK_CELLS`` bytes, 1 MiB), the
+    chunk's decision mask (``CHUNK_CELLS`` bytes), and arrays of
     one value per trial, of which four floats' worth (0.5 MiB) are
     allowed.  Another four chunk masks' worth (0.5 MiB) covers the
     temporaries.  tracemalloc sees numpy's buffers."""
     spec = tight_market(n)
     monkeypatch.setattr(montecarlo, "_worker_count", lambda: 1)
     config = SimConfig(trials=montecarlo.BLOCK_TRIALS, seed=4, focal_buyer=n // 2 if focal else None)
-    # The tight market has two outcomes, so one chain step.
+    # Both strategies have one breakpoint, so one chunk mask.
     bound = (8 + 1) * montecarlo.CHUNK_CELLS + 4 * 8 * montecarlo.BLOCK_TRIALS + 4 * montecarlo.CHUNK_CELLS
     tracemalloc.start()
     try:
@@ -621,10 +754,13 @@ def _script(monkeypatch, *draws) -> _Scripted:
 class _Counting:
     """Wraps a block's generator and counts the words its reads take and
     the calls of its bit generator's ``advance``; the words ``_seek``
-    discards are not read."""
+    discards are not read.  It follows the stream position as
+    ``_Scripted`` does and records each read as a ``(start, end)`` range
+    of words."""
 
     def __init__(self, rng):
         self.rng, self.words, self.advances = rng, 0, 0
+        self.at, self.reads = 0, []
 
     @property
     def bit_generator(self):
@@ -633,8 +769,11 @@ class _Counting:
     def random_raw(self, size, output=True):
         if output:
             self.words += size
+            self.reads.append((self.at, self.at + size))
+        self.at += size
         return self.rng.bit_generator.random_raw(size, output)
 
     def advance(self, delta):
         self.advances += 1
+        self.at = 4 * ((-(-self.at // 4) + delta) % 2**256)
         return self.rng.bit_generator.advance(delta)
